@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from ejsp.evaluate import suite_stats, validate_instance
+from ejsp.evaluate import objectives, suite_stats
 from ejsp.generator import generate_instance, generate_suite
 from ejsp.io import (
     ParseError,
@@ -265,7 +265,7 @@ def _cmd_validate(args) -> int:
     failures = 0
     for path in files:
         try:
-            instance = read_instance_file(path)
+            read_instance_file(path)  # parses and validates
         except ParseError as exc:
             print(f"{path}: {exc}")
             failures += 1
@@ -274,11 +274,6 @@ def _cmd_validate(args) -> int:
             for violation in exc.violations:
                 print(f"{path}: {violation}")
             failures += 1
-            continue
-        violations = validate_instance(instance)
-        for violation in violations:
-            print(f"{path}: {violation}")
-        failures += bool(violations)
     print(f"{len(files) - failures}/{len(files)} files valid", file=sys.stderr)
     return EXIT_FAILURES if failures else EXIT_OK
 
@@ -329,24 +324,20 @@ def _cmd_solve(args) -> int:
         return EXIT_USAGE
     files = _expand_inputs(args.inputs)
     instances = _read_all(files)
-    config = SolverConfig(
-        rule=args.rule, speed_policy=args.speed_policy, improvement_budget=args.budget
-    )
-    from ejsp.evaluate import objectives
-
+    config = SolverConfig(rule=args.rule, speed_policy=args.speed_policy)
     out = sys.stdout
     out.write(
         "file,index,variant,rule,speed_policy,budget,makespan,total_energy,total_tardiness\n"
     )
     for path, instance in zip(files, instances):
         schedule = dispatch(instance, config)
-        if config.improvement_budget:
-            schedule = improve(instance, schedule, config.improvement_budget)
+        if args.budget:
+            schedule = improve(instance, schedule, args.budget)
         report = objectives(instance, schedule)
         meta = instance.metadata
         out.write(
             f"{path.name},{meta.instance_index},{meta.variant_tag},"
-            f"{config.rule},{config.speed_policy},{config.improvement_budget},"
+            f"{config.rule},{config.speed_policy},{args.budget},"
             f"{report.makespan},{report.total_energy},{report.total_tardiness}\n"
         )
     return EXIT_OK

@@ -325,20 +325,30 @@ def write_suite(
     """Write one `.ejsp` file per instance plus `manifest.json`.
 
     Files are named inst_{index:04d}_{variant}.ejsp; the manifest records a
-    sha256 digest of each file's bytes, in the given instance order.
+    sha256 digest of each file's bytes, in the given instance order. Raises
+    FileExistsError, before writing anything, if the directory holds `.ejsp`
+    files the new suite would not overwrite: readers of the directory would
+    take them for part of the suite.
     """
     directory = Path(directory)
+    names = [instance_file_name(instance) for instance in instances]
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"duplicate instance file name {name}")
+        seen.add(name)
+    stale = sorted(p.name for p in directory.glob("*.ejsp") if p.name not in seen)
+    if stale:
+        shown = ", ".join(stale[:5]) + (f" and {len(stale) - 5} more" if len(stale) > 5 else "")
+        raise FileExistsError(
+            f"{directory} holds .ejsp files that are not in the new suite: {shown}"
+        )
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(params, InstanceParams):
         params = params_echo(params)
 
     entries = []
-    seen = set()
-    for instance in instances:
-        name = instance_file_name(instance)
-        if name in seen:
-            raise ValueError(f"duplicate instance file name {name}")
-        seen.add(name)
+    for instance, name in zip(instances, names):
         payload = write_instance(instance)
         (directory / name).write_bytes(payload)
         entries.append(

@@ -4,14 +4,24 @@ These exist to smoke-test instances and exercise the evaluator, not to be
 competitive: event-driven list scheduling under fifo/spt/edd priority keys
 with a fixed speed policy, plus an optional local search over adjacent
 machine-sequence swaps and single-task speed changes.
+
+`dispatch` keeps a heap of job release events and a heap of ready tasks, so
+each placement costs O(log J) instead of a scan over every job. `improve`
+times candidates with one index-based semi-active kernel and, once its
+schedule is semi-active, tries only moves on a critical path: no other swap
+or speed change can lower the makespan (van Laarhoven, Aarts & Lenstra
+1992), so the climb accepts the same moves as a scan of the full
+neighbourhood.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import add
 
 from ejsp.model import Instance, Schedule
-from ejsp.evaluate import objectives, validate_schedule
+from ejsp.evaluate import validate_schedule
 
 RULES = ("fifo", "spt", "edd")
 SPEED_POLICIES = ("slowest", "reference", "fastest")
@@ -21,7 +31,6 @@ SPEED_POLICIES = ("slowest", "reference", "fastest")
 class SolverConfig:
     rule: str = "fifo"
     speed_policy: str = "slowest"
-    improvement_budget: int = 0
 
 
 def _check_config(config: SolverConfig) -> None:
@@ -31,8 +40,6 @@ def _check_config(config: SolverConfig) -> None:
         raise ValueError(
             f"unknown speed policy {config.speed_policy!r}; expected one of {SPEED_POLICIES}"
         )
-    if config.improvement_budget < 0:
-        raise ValueError("improvement budget must be >= 0")
 
 
 def _policy_speed(instance: Instance, policy: str) -> int:
@@ -58,143 +65,266 @@ def dispatch(instance: Instance, config: SolverConfig) -> Schedule:
     A task is ready once its job predecessor has completed and its release
     has passed; among ready tasks the rule key picks the winner (ties to the
     lowest job id), which then starts at the earliest feasible time on its
-    machine at the policy speed.
+    machine at the policy speed. Time advances to the next release event
+    only when no task is ready.
     """
     _check_config(config)
+    rule = config.rule
     speed = _policy_speed(instance, config.speed_policy)
-    next_pos = [0] * instance.n_jobs
-    job_free = [0] * instance.n_jobs
     machine_free = [0] * instance.machines
     entries: dict[tuple[int, int], tuple[int, int]] = {}
-    remaining = sum(len(route) for route in instance.jobs)
-    now = 0
-    while remaining:
-        ready = []
-        horizon = None
-        for j, route in enumerate(instance.jobs):
-            p = next_pos[j]
-            if p >= len(route):
-                continue
-            task = route[p]
-            at = max(task.release, job_free[j])
-            if at <= now:
-                ready.append(task)
-            else:
-                horizon = at if horizon is None else min(horizon, at)
-        if not ready:
-            now = horizon  # some task always becomes ready: job chains progress
-            continue
-        task = min(ready, key=lambda t: (_rule_key(config.rule, t, speed), t.job))
-        start = max(now, machine_free[task.machine])
-        entries[(task.job, task.position)] = (start, speed)
-        end = start + task.times[speed]
-        machine_free[task.machine] = end
-        job_free[task.job] = end
-        next_pos[task.job] += 1
-        remaining -= 1
+    # one pending event per job, keyed (release time, job) and carrying the
+    # job's next task; ready keys end in the job too, so no two tasks compare
+    events = [(max(route[0].release, 0), j, route[0]) for j, route in enumerate(instance.jobs) if route]
+    events.sort()
+    ready: list = []
+    while events:
+        now = events[0][0]
+        while events and events[0][0] == now:
+            task = heappop(events)[2]
+            heappush(ready, ((_rule_key(rule, task, speed), task.job), task))
+        # with times >= 1 a successor is released after `now`; one released
+        # by `now` competes in the current ready set, as in a full scan
+        while ready:
+            task = heappop(ready)[1]
+            start = max(now, machine_free[task.machine])
+            entries[(task.job, task.position)] = (start, speed)
+            end = start + task.times[speed]
+            machine_free[task.machine] = end
+            route = instance.jobs[task.job]
+            if task.position + 1 < len(route):
+                nxt = route[task.position + 1]
+                at = max(nxt.release, end)
+                if at <= now:
+                    heappush(ready, ((_rule_key(rule, nxt, speed), nxt.job), nxt))
+                else:
+                    heappush(events, (at, nxt.job, nxt))
     return Schedule(entries=entries)
 
 
-def _machine_sequences(instance: Instance, schedule: Schedule) -> list[list[tuple[int, int]]]:
-    """Per-machine task keys ordered by start time (total: durations >= 1)."""
-    seqs: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in range(instance.machines)]
-    for task in instance.iter_tasks():
-        key = (task.job, task.position)
-        seqs[task.machine].append((schedule.entries[key][0], key))
-    return [[key for _, key in sorted(seq)] for seq in seqs]
+def _semi_active(
+    release: list[int],
+    job_next: list[int],
+    job_preds: list[int],
+    sequences: list[list[int]],
+    duration: list[int],
+) -> list[int] | None:
+    """Earliest start of every task under its job chain and machine sequence.
 
-
-def _retime(
-    instance: Instance,
-    sequences: list[list[tuple[int, int]]],
-    speeds: dict[tuple[int, int], int],
-) -> Schedule | None:
-    """Semi-active timing for explicit machine sequences; None if cyclic."""
-    pred_count: dict[tuple[int, int], int] = {}
-    machine_next: dict[tuple[int, int], tuple[int, int]] = {}
-    for route in instance.jobs:
-        for task in route:
-            pred_count[(task.job, task.position)] = 1 if task.position else 0
+    Tasks are numbered 0..n-1 job by job. `job_next[i]` is the task after i
+    in its job (-1 for the last one) and `job_preds[i]` is 1 unless i starts
+    its job. Returns None if the machine sequences close a cycle.
+    """
+    n = len(release)
+    machine_next = [-1] * n
+    waiting = job_preds[:]
     for seq in sequences:
         for a, b in zip(seq, seq[1:]):
             machine_next[a] = b
-            pred_count[b] += 1
+            waiting[b] += 1
+    start = release[:]
+    stack = [i for i, w in enumerate(waiting) if not w]
+    placed = 0
+    while stack:
+        i = stack.pop()
+        placed += 1
+        end = start[i] + duration[i]
+        k = job_next[i]
+        if k >= 0:
+            if start[k] < end:
+                start[k] = end
+            waiting[k] -= 1
+            if not waiting[k]:
+                stack.append(k)
+        k = machine_next[i]
+        if k >= 0:
+            if start[k] < end:
+                start[k] = end
+            waiting[k] -= 1
+            if not waiting[k]:
+                stack.append(k)
+    return start if placed == n else None
 
-    by_key = {(t.job, t.position): t for t in instance.iter_tasks()}
-    machine_free = [0] * instance.machines
-    job_free: dict[int, int] = {}
-    frontier = sorted(key for key, c in pred_count.items() if c == 0)
-    entries: dict[tuple[int, int], tuple[int, int]] = {}
-    while frontier:
-        key = frontier.pop()
-        task = by_key[key]
-        start = max(
-            task.release, job_free.get(task.job, 0), machine_free[task.machine]
-        )
-        entries[key] = (start, speeds[key])
-        end = start + task.times[speeds[key]]
-        job_free[task.job] = end
-        machine_free[task.machine] = end
-        for nxt in (
-            (task.job, task.position + 1) if task.position + 1 < len(instance.jobs[task.job]) else None,
-            machine_next.get(key),
-        ):
-            if nxt is not None:
-                pred_count[nxt] -= 1
-                if pred_count[nxt] == 0:
-                    frontier.append(nxt)
-    if len(entries) != len(pred_count):
-        return None  # swap created a precedence cycle
-    return Schedule(entries=entries)
+
+def _tails(
+    start: list[int],
+    duration: list[int],
+    job_next: list[int],
+    sequences: list[list[int]],
+) -> list[int]:
+    """Longest path from each task's end to the end of the schedule.
+
+    Successors start after their predecessors end (times >= 1), so reverse
+    start order visits every successor first.
+    """
+    n = len(start)
+    machine_next = [-1] * n
+    for seq in sequences:
+        for a, b in zip(seq, seq[1:]):
+            machine_next[a] = b
+    tail = [0] * n
+    for i in sorted(range(n), key=start.__getitem__, reverse=True):
+        t = 0
+        k = job_next[i]
+        if k >= 0:
+            t = duration[k] + tail[k]
+        k = machine_next[i]
+        if k >= 0 and duration[k] + tail[k] > t:
+            t = duration[k] + tail[k]
+        tail[i] = t
+    return tail
+
+
+def _critical_swaps(
+    seq: list[int],
+    start: list[int],
+    duration: list[int],
+    tail: list[int],
+    release: list[int],
+    job_next: list[int],
+    job_preds: list[int],
+    makespan: int,
+) -> list[int]:
+    """Positions k in one machine sequence whose swap of seq[k] and seq[k+1]
+    might lower `makespan`.
+
+    The arc (u, v) must lie on a longest path. Swapped, the path through
+    v then u is at least as long as the heads and tails of their other
+    neighbours make it: those are unchanged unless the swap closes a cycle,
+    so a bound that reaches the makespan rules the swap out.
+    """
+    out = []
+    for k in range(len(seq) - 1):
+        u, v = seq[k], seq[k + 1]
+        p_u, p_v = duration[u], duration[v]
+        if start[u] + p_u + p_v + tail[v] != makespan:
+            continue
+        head_v = release[v]
+        if job_preds[v] and start[v - 1] + duration[v - 1] > head_v:
+            head_v = start[v - 1] + duration[v - 1]
+        if k and start[seq[k - 1]] + duration[seq[k - 1]] > head_v:
+            head_v = start[seq[k - 1]] + duration[seq[k - 1]]
+        head_u = max(release[u], head_v + p_v)
+        if job_preds[u] and start[u - 1] + duration[u - 1] > head_u:
+            head_u = start[u - 1] + duration[u - 1]
+        tail_u = 0
+        w = job_next[u]
+        if w >= 0:
+            tail_u = duration[w] + tail[w]
+        if k + 2 < len(seq):
+            w = seq[k + 2]
+            tail_u = max(tail_u, duration[w] + tail[w])
+        tail_v = p_u + tail_u
+        w = job_next[v]
+        if w >= 0 and duration[w] + tail[w] > tail_v:
+            tail_v = duration[w] + tail[w]
+        if max(head_v + p_v + tail_v, head_u + p_u + tail_u) < makespan:
+            out.append(k)
+    return out
 
 
 def improve(instance: Instance, schedule: Schedule, budget: int) -> Schedule:
     """First-improvement hill climb on makespan; at most `budget` accepted moves.
 
-    Neighborhood: adjacent swaps within each machine sequence, then single
-    task speed changes; every candidate is re-timed semi-actively. Monotone:
-    the result's makespan never exceeds the input's.
+    Neighborhood: adjacent swaps within each machine sequence, in machine
+    and sequence order, then single-task speed changes, in task key and
+    speed order; every candidate is re-timed semi-actively and judged by
+    its makespan alone. When the current sequences' semi-active makespan
+    equals the current one, only swaps of an arc (u, v) with
+    head(u) + p(u) + p(v) + tail(v) == Cmax whose swapped pair's path bound
+    stays below Cmax, and speed changes to a shorter time on a task with
+    head + p + tail == Cmax, are tried: no other move can lower the
+    makespan, so the same moves are accepted as by a full scan. An input
+    that starts tasks late gets the full scan until a move is accepted.
+    Monotone: the result's makespan never exceeds the input's.
     """
+    if budget < 0:
+        raise ValueError("improvement budget must be >= 0")
     violations = validate_schedule(instance, schedule)
     if violations:
         raise ValueError("infeasible schedule: " + "; ".join(violations))
     if budget == 0:
         return schedule
 
-    current = schedule
-    current_make = objectives(instance, current).makespan
-    sequences = _machine_sequences(instance, current)
-    speeds = {key: entry[1] for key, entry in current.entries.items()}
+    tasks = list(instance.iter_tasks())
+    n = len(tasks)
+    keys = [(t.job, t.position) for t in tasks]
+    times = [t.times for t in tasks]
+    release = [max(t.release, 0) for t in tasks]
+    job_next = []
+    job_preds = []
+    for route in instance.jobs:
+        first = len(job_next)
+        job_next.extend(range(first + 1, first + len(route)))
+        job_preds.extend(1 for _ in route)
+        if route:
+            job_next.append(-1)
+            job_preds[first] = 0
+    entries = schedule.entries
+    speed = [entries[key][1] for key in keys]
+    duration = [t[s] for t, s in zip(times, speed)]
+    by_machine: list[list[tuple[int, tuple[int, int], int]]] = [[] for _ in range(instance.machines)]
+    for i, task in enumerate(tasks):
+        by_machine[task.machine].append((entries[keys[i]][0], keys[i], i))
+    sequences = [[i for _, _, i in sorted(seq)] for seq in by_machine]
+    speed_order = sorted(range(n), key=keys.__getitem__)
+    n_speeds = instance.n_speeds
+
+    current_make = max((entries[key][0] + d for key, d in zip(keys, duration)), default=0)
+    accepted = None  # start times of the last accepted candidate
+
+    def retime():
+        return _semi_active(release, job_next, job_preds, sequences, duration)
+
+    def makespan_of(start):
+        return max(map(add, start, duration), default=0)
 
     for _ in range(budget):
+        start = retime()
+        critical = makespan_of(start) == current_make
+        if critical:
+            tail = _tails(start, duration, job_next, sequences)
         improved = False
-        for m, seq in enumerate(sequences):
-            for i in range(len(seq) - 1):
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
-                candidate = _retime(instance, sequences, speeds)
+        for seq in sequences:
+            if critical:
+                swaps = _critical_swaps(
+                    seq, start, duration, tail, release, job_next, job_preds, current_make
+                )
+            else:
+                swaps = range(len(seq) - 1)
+            for k in swaps:
+                u, v = seq[k], seq[k + 1]
+                seq[k], seq[k + 1] = v, u
+                candidate = retime()
                 if candidate is not None:
-                    make = objectives(instance, candidate).makespan
+                    make = makespan_of(candidate)
                     if make < current_make:
-                        current, current_make, improved = candidate, make, True
+                        accepted, current_make, improved = candidate, make, True
                         break
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                seq[k], seq[k + 1] = u, v
             if improved:
                 break
         if not improved:
-            for key in sorted(speeds):
-                old = speeds[key]
-                for s in range(instance.n_speeds):
-                    if s == old:
+            for i in speed_order:
+                if critical and start[i] + duration[i] + tail[i] != current_make:
+                    continue
+                old = speed[i]
+                options = times[i]
+                for s in range(n_speeds):
+                    if s == old or (critical and options[s] >= options[old]):
                         continue
-                    speeds[key] = s
-                    candidate = _retime(instance, sequences, speeds)
-                    make = objectives(instance, candidate).makespan
+                    duration[i] = options[s]
+                    candidate = retime()
+                    make = makespan_of(candidate)
                     if make < current_make:
-                        current, current_make, improved = candidate, make, True
+                        accepted, current_make, improved = candidate, make, True
+                        speed[i] = s
                         break
-                    speeds[key] = old
+                    duration[i] = options[old]
                 if improved:
                     break
         if not improved:
             break
-    return current
+    if accepted is None:
+        return schedule
+    return Schedule(entries={key: (accepted[i], speed[i]) for i, key in enumerate(keys)})

@@ -72,6 +72,18 @@ class TestGenerate:
         assert run_cli(gen_args(tmp_path / "b", count=6)) == 0
         assert trees_equal(tmp_path / "a", tmp_path / "b")
 
+    def test_smaller_suite_refused_over_larger(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli(gen_args(out, count=6, seed="1")) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli(gen_args(out, count=3, seed="9")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ejsp: ") and "inst_0003_orig.ejsp" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert run_cli(gen_args(out, count=6, seed="1")) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_invalid_thread_env_is_usage_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("EJSP_THREADS", "lots")
         assert run_cli(gen_args(tmp_path / "d")) == 2
@@ -222,6 +234,24 @@ class TestSolve:
             cells = line.split(",")
             assert cells[3] == "spt"
             assert int(cells[6]) > 0  # makespan
+
+    def test_budget_never_worsens_at_100x10(self, tmp_path, capsys):
+        args = gen_args(tmp_path / "d", count=1)
+        args[args.index("--jobs") + 1] = "100"
+        args[args.index("--machines") + 1] = "10"
+        args[args.index("--tasks") + 1] = "10"
+        assert run_cli(args) == 0
+        rows = {}
+        for budget in ("0", "3"):
+            for rule in ("fifo", "spt", "edd"):
+                capsys.readouterr()
+                assert run_cli(["solve", str(tmp_path / "d"), "--rule", rule, "--budget", budget]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                assert len(lines) == 2
+                rows[(budget, rule)] = lines[1].split(",")
+        for rule in ("fifo", "spt", "edd"):
+            assert rows[("3", rule)][5] == "3"
+            assert int(rows[("3", rule)][6]) <= int(rows[("0", rule)][6])
 
     def test_negative_budget_rejected(self, tmp_path):
         assert run_cli(gen_args(tmp_path / "d", count=1)) == 0

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from ejsp.evaluate import brute_force_best, objectives, validate_schedule
 from ejsp.generator import generate_instance
 from ejsp.model import DistSpec, InstanceParams, Schedule
-from ejsp.solver import SolverConfig, dispatch, improve
+from ejsp.solver import RULES, SPEED_POLICIES, SolverConfig, dispatch, improve
 
+import solver_reference as reference
 from conftest import make_instance
 
 
@@ -73,7 +74,7 @@ class TestDispatch:
         with pytest.raises(ValueError):
             dispatch(inst, SolverConfig(speed_policy="medium"))
         with pytest.raises(ValueError):
-            dispatch(inst, SolverConfig(improvement_budget=-1))
+            improve(inst, dispatch(inst, SolverConfig()), -1)
 
     def test_deterministic(self):
         inst = build(seed=3)
@@ -145,3 +146,59 @@ class TestImprove:
         sched = Schedule(entries={(0, 0): (0, 0)})
         improved = improve(inst, sched, 5)
         assert objectives(inst, improved).makespan == 3
+
+
+def delayed(instance, schedule, delays):
+    """The same machine sequences and speeds, each task started `delays[k]`
+    after its earliest feasible start (k in start order): feasible, and not
+    semi-active once any delay is positive."""
+    job_free, machine_free, entries = {}, {}, {}
+    order = sorted(schedule.entries, key=lambda key: schedule.entries[key][0])
+    for k, (job, pos) in enumerate(order):
+        task = instance.jobs[job][pos]
+        speed = schedule.entries[(job, pos)][1]
+        start = max(task.release, job_free.get(job, 0), machine_free.get(task.machine, 0))
+        start += delays[k % len(delays)]
+        entries[(job, pos)] = (start, speed)
+        job_free[job] = machine_free[task.machine] = start + task.times[speed]
+    return Schedule(entries=entries)
+
+
+class TestAgainstReference:
+    """Same schedules as the list-scan dispatch and the full-neighbourhood
+    climb kept in solver_reference.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32),
+        jobs=st.integers(min_value=1, max_value=7),
+        machines=st.integers(min_value=1, max_value=4),
+        speeds=st.integers(min_value=1, max_value=4),
+        rrdd=st.sampled_from(["none", "loose", "tight"]),
+        kind=st.sampled_from(["exponential", "gaussian", "uniform"]),
+        rule=st.sampled_from(RULES),
+        policy=st.sampled_from(SPEED_POLICIES),
+        budget=st.integers(min_value=1, max_value=50),
+        delays=st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=8),
+        first_delay=st.integers(min_value=1, max_value=20),
+    )
+    def test_same_schedules(
+        self, seed, jobs, machines, speeds, rrdd, kind, rule, policy, budget, delays, first_delay
+    ):
+        inst = build(seed=seed, jobs=jobs, machines=machines, speeds=speeds, rrdd=rrdd, kind=kind)
+        config = SolverConfig(rule=rule, speed_policy=policy)
+        start = dispatch(inst, config)
+        assert start == reference.dispatch(inst, config)
+        late = delayed(inst, start, [first_delay] + delays)
+        assert validate_schedule(inst, late) == []
+        assert late != start
+        for schedule in (start, late):
+            assert improve(inst, schedule, budget) == reference.improve(inst, schedule, budget)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_schedules_at_30x5(self, seed):
+        inst = build(seed=seed, jobs=30, machines=5, speeds=4, rrdd="loose")
+        config = SolverConfig(rule="spt", speed_policy="reference")
+        start = dispatch(inst, config)
+        assert start == reference.dispatch(inst, config)
+        assert improve(inst, start, 3) == reference.improve(inst, start, 3)
