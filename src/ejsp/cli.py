@@ -255,7 +255,11 @@ def _cmd_derive(args) -> int:
         except ValueError as exc:
             print(f"ejsp derive: {path}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    write_suite(derived, args.out, suite_id=f"derived-{args.variants}")
+    try:
+        write_suite(derived, args.out, suite_id=f"derived-{args.variants}")
+    except ValueError as exc:  # two inputs map to one file name; nothing written
+        print(f"ejsp derive: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"wrote {len(derived)} instances to {args.out}")
     return EXIT_OK
 

@@ -67,6 +67,7 @@ def validate_instance(instance: Instance) -> list[str]:
 
     # tasks with equal base times share speed vectors: check each pair once
     vector_faults: dict[tuple[tuple[int, ...], tuple[int, ...]], list[str]] = {}
+    n_machines = instance.machines
     for j, route in enumerate(instance.jobs):
         if not route:
             out.append(f"job {j}: empty route")
@@ -76,27 +77,30 @@ def validate_instance(instance: Instance) -> list[str]:
         machines_seen = [task.machine for task in route]
         if len(set(machines_seen)) != len(machines_seen):
             out.append(f"job {j}: route duplicate machine")
-        release, due = route[0].release, route[0].due
-        for p, task in enumerate(route):
+        job_release, job_due = route[0].release, route[0].due
+        # unpacked once per task: cheaper than reading a tuple's fields by name
+        for p, (job, position, machine, base, times, energies, release, due) in enumerate(
+            route
+        ):
             faults = []
-            if task.job != j or task.position != p:
+            if job != j or position != p:
                 faults.append("job/position labels mismatch")
-            if not 0 <= task.machine < instance.machines:
-                faults.append(f"machine index {task.machine} out of range")
-            if task.base_time < 1:
+            if not 0 <= machine < n_machines:
+                faults.append(f"machine index {machine} out of range")
+            if base < 1:
                 faults.append("base time must be >= 1")
-            vectors = (task.times, task.energies)
+            vectors = (times, energies)
             shared = vector_faults.get(vectors)
             if shared is None:
                 shared = vector_faults[vectors] = _speed_vector_faults(
-                    task.times, task.energies, n_speeds
+                    times, energies, n_speeds
                 )
             faults += shared
-            if task.release < 0:
+            if release < 0:
                 faults.append("release must be >= 0")
-            if task.due is not None and task.due < task.release:
+            if due is not None and due < release:
                 faults.append("due before release")
-            if task.release != release or task.due != due:
+            if release != job_release or due != job_due:
                 faults.append("job dates not uniform across tasks")
             if faults:
                 out.extend(f"job {j} task {p}: {fault}" for fault in faults)
@@ -161,10 +165,18 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[str]:
 
 
 def objectives(instance: Instance, schedule: Schedule) -> ObjectiveReport:
-    """Makespan, total energy and total tardiness of a feasible schedule."""
+    """Makespan, total energy and total tardiness of a feasible schedule.
+
+    Raises ValueError, listing the violations, if the schedule is infeasible.
+    """
     violations = validate_schedule(instance, schedule)
     if violations:
         raise ValueError("infeasible schedule: " + "; ".join(violations))
+    return _objective_values(instance, schedule)
+
+
+def _objective_values(instance: Instance, schedule: Schedule) -> ObjectiveReport:
+    """The objectives of a schedule already known to be feasible and complete."""
     makespan = 0
     energy = 0
     tardiness = 0
@@ -274,7 +286,8 @@ def brute_force_best(
         for combo in product(range(instance.n_speeds), repeat=total_tasks):
             speeds = dict(zip(keys, combo))
             schedule = semi_active_timing(instance, order, speeds)
-            value = _report_value(objectives(instance, schedule), objective)
+            # feasible by construction: skip objectives' validation
+            value = _report_value(_objective_values(instance, schedule), objective)
             encoding = tuple(sorted(schedule.entries.items()))
             if best is None or (value, encoding) < (best[0], best[1]):
                 best = (value, encoding, schedule)

@@ -176,21 +176,15 @@ def generate_instance(params: InstanceParams, q: int) -> Instance:
             stream, base, scaled, params.machines, resolved, params.rrdd
         )
 
+    # positional: a keyword call costs about twice as much, once per task row
     jobs = tuple(
         tuple(
-            TaskSpec(
-                job=j,
-                position=t,
-                machine=routes[j][t],
-                base_time=base[j][t],
-                times=scaled[j][t].times,
-                energies=scaled[j][t].energies,
-                release=dates[j][0],
-                due=dates[j][1],
-            )
-            for t in range(params.tasks_per_job)
+            TaskSpec(j, t, machine, b, s.times, s.energies, release, due)
+            for t, (machine, b, s) in enumerate(zip(route, base_row, scaled_row))
         )
-        for j in range(params.jobs)
+        for j, (route, base_row, scaled_row, (release, due)) in enumerate(
+            zip(routes, base, scaled, dates)
+        )
     )
     metadata = InstanceMetadata(
         seed=params.seed,

@@ -24,21 +24,6 @@ from ejsp.model import (
 )
 from ejsp.speed import energy_percentage, time_fraction
 
-HEADER_KEYS = (
-    "jobs",
-    "machines",
-    "tasks",
-    "speeds",
-    "multipliers",
-    "seed",
-    "index",
-    "dist",
-    "rrdd",
-    "variant",
-    "prng",
-    "version",
-)
-
 UNBOUNDED_TOKEN = "inf"
 
 
@@ -107,18 +92,15 @@ def write_instance(instance: Instance) -> bytes:
     ]
     # tasks with equal base times share their speed vectors: format each once
     speed_fields: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
-    for task in instance.iter_tasks():
-        vectors = (task.times, task.energies)
+    # unpacked once per task: cheaper than reading a tuple's fields by name
+    for job, position, machine, base, times, energies, release, due in instance.iter_tasks():
+        vectors = (times, energies)
         speeds = speed_fields.get(vectors)
         if speeds is None:
-            speeds = speed_fields[vectors] = "".join(
-                f" {v}" for v in task.times + task.energies
-            )
-        due = UNBOUNDED_TOKEN if task.due is None else task.due
-        lines.append(
-            f"{task.job} {task.position} {task.machine} {task.base_time} "
-            f"{task.release} {due}{speeds}"
-        )
+            speeds = speed_fields[vectors] = "".join(f" {v}" for v in times + energies)
+        if due is None:
+            due = UNBOUNDED_TOKEN
+        lines.append(f"{job} {position} {machine} {base} {release} {due}{speeds}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -149,12 +131,18 @@ def _parse_int(token: str, line: int, what: str) -> int:
         raise ParseError(line, f"bad integer for {what}: {token!r}") from None
 
 
-def _reject_task_tokens(tokens: list[str], line: int, n_speeds: int) -> None:
-    """Raise the ParseError naming the first task-line token that is not an
-    integer (the due column may also be the unbounded token)."""
+def _reject_task_line(text: str, line: int, n_speeds: int) -> None:
+    """Raise the ParseError for a task line that failed the fast parse: a
+    wrong field count first, else the first token that is not an integer
+    (the due column may also be the unbounded token)."""
+    width = 6 + 2 * n_speeds
+    if text.count(" ") != width - 1:
+        raise ParseError(
+            line, f"expected {width} fields on task line, got {text.count(' ') + 1}"
+        )
     names = ("job", "position", "machine", "base time", "release", "due")
     names += ("time",) * n_speeds + ("energy",) * n_speeds
-    for name, token in zip(names, tokens):
+    for name, token in zip(names, text.split(" ")):
         if not (name == "due" and token == UNBOUNDED_TOKEN):
             _parse_int(token, line, name)
 
@@ -180,10 +168,18 @@ def _header(cur: _Cursor, key: str) -> list[str]:
 def read_instance(data: Union[bytes, str]) -> Instance:
     """Parse canonical text back into an Instance.
 
-    Raises ParseError (with line number) for malformed syntax and
-    ValidationError for payloads that break instance invariants.
+    Raises ParseError (with line number) for malformed syntax, a non-ASCII
+    byte included, and ValidationError for payloads that break instance
+    invariants.
     """
-    text = data.decode("ascii") if isinstance(data, bytes) else data
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(line, f"non-ASCII byte 0x{data[exc.start]:02x}") from None
+    else:
+        text = data
     cur = _Cursor(text)
 
     n_jobs = _parse_int(_header(cur, "jobs")[0], cur.line_no - 1, "jobs")
@@ -222,10 +218,12 @@ def read_instance(data: Union[bytes, str]) -> Instance:
     version = _header(cur, "version")[0]
 
     routes: list[list[TaskSpec]] = [[] for _ in range(max(n_jobs, 0))]
-    width = 6 + 2 * n_speeds
+    n_values = 2 * n_speeds
     lines = cur.lines
     line_no = cur.line_no
-    # speed-vector text -> parsed (times, energies); equal vectors share tuples
+    # speed-vector text -> parsed (times, energies); equal vectors share
+    # tuples, and a text is only stored once it holds n_values integers, so a
+    # hit also vouches for the line's field count
     vectors: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for j, route in enumerate(routes):
         for p in range(n_tasks):
@@ -235,28 +233,33 @@ def read_instance(data: Union[bytes, str]) -> Instance:
                     f"unexpected end of file, expected task line for job {j} position {p}",
                 )
             line = lines[line_no - 1]
-            if line.count(" ") != width - 1:
-                raise ParseError(
-                    line_no,
-                    f"expected {width} fields on task line, got {line.count(' ') + 1}",
-                )
-            fields = line.split(" ", 6)
             try:
-                tj, tp, machine, base_time, release = map(int, fields[:5])
-                due = None if fields[5] == UNBOUNDED_TOKEN else int(fields[5])
-                speeds = vectors.get(fields[6])
+                tj, tp, machine, base_time, release, due, speed_text = line.split(" ", 6)
+                speeds = vectors.get(speed_text)
                 if speeds is None:
-                    values = tuple(map(int, fields[6].split(" ")))
-                    speeds = vectors[fields[6]] = (values[:n_speeds], values[n_speeds:])
+                    tokens = speed_text.split(" ")
+                    if len(tokens) != n_values:
+                        raise ValueError
+                    values = tuple(map(int, tokens))
+                    speeds = vectors[speed_text] = (values[:n_speeds], values[n_speeds:])
+                tj = int(tj)
+                tp = int(tp)
+                task = TaskSpec(
+                    tj,
+                    tp,
+                    int(machine),
+                    int(base_time),
+                    *speeds,
+                    int(release),
+                    None if due == UNBOUNDED_TOKEN else int(due),
+                )
             except ValueError:
-                _reject_task_tokens(line.split(" "), line_no, n_speeds)
+                _reject_task_line(line, line_no, n_speeds)
             if tj != j or tp != p:
                 raise ParseError(
                     line_no, f"task lines out of order: expected job {j} position {p}"
                 )
-            # positional: keyword passing costs a frozen dataclass about a
-            # third more per task, and this runs once per task row
-            route.append(TaskSpec(tj, tp, machine, base_time, *speeds, release, due))
+            route.append(task)
             line_no += 1
     if line_no <= len(lines):
         raise ParseError(line_no, "unexpected trailing content")

@@ -21,8 +21,9 @@ SUBSET_THIRD_ONLY = (2,)
 
 def relax_dates(instance: Instance) -> Instance:
     """Copy with every release 0 and every due unbounded; nothing else moves."""
+    # every field up to `energies` kept, then release 0 and due unbounded
     jobs = tuple(
-        tuple(replace(task, release=0, due=None) for task in route)
+        tuple(TaskSpec(*task[:6], 0, None) for task in route)
         for route in instance.jobs
     )
     return Instance(

@@ -180,6 +180,17 @@ class TestDerive:
         assert rc == 2
         assert "nope" in capsys.readouterr().err
 
+    def test_same_input_twice_is_usage_error(self, tmp_path, capsys):
+        src = self.make_inputs(tmp_path)
+        one = str(next(src.glob("*.ejsp")))
+        out = tmp_path / "o"
+        rc = run_cli(["derive", "--variants", "relax", "--in", one, one, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ejsp derive: ")
+        assert "duplicate instance file name inst_0000_relaxed.ejsp" in err
+        assert not out.exists()
+
 
 class TestValidate:
     def test_valid_files(self, tmp_path):
@@ -194,6 +205,18 @@ class TestValidate:
         assert run_cli(["validate", str(target)]) == 1
         out = capsys.readouterr().out
         assert target.name in out
+
+    def test_non_ascii_byte_is_reported(self, tmp_path, capsys):
+        assert run_cli(gen_args(tmp_path / "d", count=1)) == 0
+        target = next((tmp_path / "d").glob("*.ejsp"))
+        lines = target.read_bytes().split(b"\n")
+        lines[14] = lines[14][:3] + b"\xff" + lines[14][3:]
+        target.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run_cli(["validate", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == f"{target}: line 15: non-ASCII byte 0xff\n"
+        assert "0/1 files valid" in captured.err
 
     def test_invariant_breach(self, tmp_path, capsys):
         assert run_cli(gen_args(tmp_path / "d", count=1)) == 0

@@ -46,7 +46,7 @@ class TestValidateInstance:
         import dataclasses
 
         inst = make_instance([[(0, 3, 5)]])
-        bad_task = dataclasses.replace(inst.jobs[0][0], base_time=0)
+        bad_task = inst.jobs[0][0]._replace(base_time=0)
         patched = dataclasses.replace(inst, jobs=((bad_task,),))
         assert any("base time" in v for v in validate_instance(patched))
 

@@ -149,6 +149,38 @@ class TestParseErrors:
         assert err.value.line == 16
         assert repr(token) in str(err.value)
 
+    @pytest.mark.parametrize("row", [12, 13], ids=["first-use", "memo-hit"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda f: f[:-1], "expected 16 fields on task line, got 15"),
+            (lambda f: f + ["99"], "expected 16 fields on task line, got 17"),
+            (lambda f: f[:8] + ["7"] + f[8:], "expected 16 fields on task line, got 17"),
+            # a field count fault is named before a bad token
+            (lambda f: f[:2] + ["x"] + f[2:], "expected 16 fields on task line, got 17"),
+            (lambda f: f[:3], "expected 16 fields on task line, got 3"),
+            (lambda f: f[:7] + ["x"] + f[8:], "bad integer for time: 'x'"),
+            (lambda f: f[:-1] + ["1.5"], "bad integer for energy: '1.5'"),
+            (lambda f: f[:2] + ["x"] + f[3:], "bad integer for machine: 'x'"),
+            (lambda f: f[:5] + ["-"] + f[6:], "bad integer for due: '-'"),
+        ],
+        ids=[
+            "15-fields", "17-fields", "extra-speed-token", "extra-bad-token",
+            "3-fields", "bad-time", "bad-energy", "bad-machine", "bad-due",
+        ],
+    )
+    def test_task_line_faults_named_with_shared_vectors(self, row, edit, message):
+        lines = write_instance(build()).decode().splitlines()
+        # give the second task line the first one's speed vector, so the
+        # reader meets that vector text again on line 14
+        first = lines[12].split(" ")
+        lines[13] = " ".join(lines[13].split(" ")[:6] + first[6:])
+        read_instance("\n".join(lines) + "\n")  # still valid as it stands
+        lines[row] = " ".join(edit(lines[row].split(" ")))
+        with pytest.raises(ParseError) as err:
+            read_instance("\n".join(lines) + "\n")
+        assert str(err.value) == f"line {row + 1}: {message}"
+
     def test_monotonicity_breach_is_validation_error(self):
         inst = build(speeds=2)
         lines = write_instance(inst).decode().splitlines()

@@ -1,15 +1,21 @@
 """Domain types: parameter validation, variant tags, distribution specs."""
 
+import pytest
+
+from ejsp.generator import generate_instance
+from ejsp.io import read_instance, write_instance
 from ejsp.model import (
     DIST_KINDS,
     MAX_SEED,
     DistSpec,
     InstanceParams,
     SpeedGrid,
+    TaskSpec,
     round6,
     validate_dist,
     validate_params,
 )
+from ejsp.variants import project_speeds, relax_dates
 
 from conftest import make_metadata
 
@@ -118,3 +124,34 @@ class TestRound6:
     def test_idempotent(self):
         for v in (0.1, 1 / 3, 123.456789012):
             assert round6(round6(v)) == round6(v)
+
+
+class TestTaskSpec:
+    def instance(self):
+        return generate_instance(params(count=1, jobs=3, speeds=5), 0)
+
+    def test_every_builder_yields_taskspecs(self):
+        inst = self.instance()
+        built = {
+            "generate_instance": inst,
+            "read_instance": read_instance(write_instance(inst)),
+            "relax_dates": relax_dates(inst),
+            "project_speeds": project_speeds(inst, (0, 2, 4)),
+        }
+        for name, made in built.items():
+            kinds = {type(task) for task in made.iter_tasks()}
+            assert kinds == {TaskSpec}, name
+
+    @pytest.mark.parametrize("field", TaskSpec._fields)
+    def test_fields_cannot_be_set(self, field):
+        task = self.instance().jobs[0][0]
+        with pytest.raises(AttributeError):
+            setattr(task, field, 0)
+
+    def test_keyword_and_positional_construction_agree(self):
+        fields = (1, 2, 0, 7, (9, 5), (4, 6), 3, None)
+        task = TaskSpec(*fields)
+        assert task == TaskSpec(**dict(zip(TaskSpec._fields, fields)))
+        assert (task.job, task.position, task.due) == (1, 2, None)
+        assert task == fields  # a tuple of its fields, compared as one
+        assert task._replace(release=0) == (1, 2, 0, 7, (9, 5), (4, 6), 0, None)
