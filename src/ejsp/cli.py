@@ -1,8 +1,9 @@
 """Command-line entry point: generate, derive, validate, stats, solve, curves.
 
 All outputs are deterministic: no timestamps, LF line endings, `.` decimal
-separators regardless of locale. EJSP_THREADS caps generation parallelism
-(0 or unset = auto); results are written in index order either way.
+separators regardless of locale. EJSP_THREADS is still accepted (a
+non-negative integer) but has no effect: generation is pure Python and runs
+in one thread.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ PRESET_COUNT = 500
 PRESET_RRDD = ("loose", "tight")
 
 
-def _thread_count() -> int:
+def _check_thread_setting() -> None:
+    """Reject a malformed EJSP_THREADS. The setting is still accepted, but
+    has no effect: generation runs in one thread."""
     raw = os.environ.get("EJSP_THREADS", "").strip()
     if raw in ("", "0"):
-        return os.cpu_count() or 1
+        return
     try:
         n = int(raw)
     except ValueError:
@@ -55,7 +58,6 @@ def _thread_count() -> int:
         ) from None
     if n < 0:
         raise SystemExit(f"ejsp: EJSP_THREADS must be a non-negative integer, got {n}")
-    return n
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,7 +142,8 @@ def _cmd_generate(args) -> int:
         if count < 1:
             print("ejsp generate: --count must be >= 1", file=sys.stderr)
             return EXIT_USAGE
-        instances = _preset_instances(args.seed, count, _thread_count())
+        _check_thread_setting()
+        instances = _preset_instances(args.seed, count)
         write_suite(
             instances,
             args.out,
@@ -183,13 +186,14 @@ def _cmd_generate(args) -> int:
         for v in violations:
             print(f"ejsp generate: {v}", file=sys.stderr)
         return EXIT_USAGE
-    instances = generate_suite(params, threads=_thread_count())
+    _check_thread_setting()
+    instances = generate_suite(params)
     write_suite(instances, args.out, suite_id=f"suite-seed{args.seed}", params=params)
     print(f"wrote {len(instances)} instances to {args.out}")
     return EXIT_OK
 
 
-def _preset_instances(seed: int, count: int, threads: int):
+def _preset_instances(seed: int, count: int):
     """The benchmark preset: per-instance shapes drawn from one meta stream,
     then each original expanded into its three speed variants."""
     meta = make_stream(seed, PRESET_META_INDEX)
@@ -212,17 +216,11 @@ def _preset_instances(seed: int, count: int, threads: int):
             )
         )
 
-    def build(q: int):
-        return paper_variants(generate_instance(per_instance[q], q))
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(build, range(count)))
-    else:
-        groups = [build(q) for q in range(count)]
-    return [inst for group in groups for inst in group]
+    return [
+        inst
+        for q, params in enumerate(per_instance)
+        for inst in paper_variants(generate_instance(params, q))
+    ]
 
 
 def _cmd_derive(args) -> int:

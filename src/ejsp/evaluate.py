@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 import statistics
-from itertools import product
+from itertools import chain, product
+from operator import ge, le
 from typing import Iterable, Optional
 
 from ejsp.model import (
@@ -19,6 +20,7 @@ from ejsp.model import (
     Instance,
     ObjectiveReport,
     Schedule,
+    SpeedVectors,
     validate_dist,
 )
 
@@ -45,9 +47,10 @@ def validate_instance(instance: Instance) -> list[str]:
         out.append("grid multipliers not strictly increasing")
     n_speeds = len(mult)
 
-    if not instance.jobs:
+    lengths = instance.route_lengths
+    if not lengths:
         out.append("instance has no jobs")
-    route_len = len(instance.jobs[0]) if instance.jobs else 0
+    route_len = lengths[0] if lengths else 0
 
     meta = instance.metadata
     if not meta.prng_id:
@@ -65,46 +68,107 @@ def validate_instance(instance: Instance) -> list[str]:
     if meta.speed_subset is not None and len(meta.speed_subset) != n_speeds:
         out.append("metadata speed subset length does not match grid")
 
-    # tasks with equal base times share speed vectors: check each pair once
-    vector_faults: dict[tuple[tuple[int, ...], tuple[int, ...]], list[str]] = {}
+    columns = (
+        instance.machine, instance.base_time, instance.release, instance.due, instance.vector_id
+    )
+    machine, base_time, release, due, vector_id = columns
+    n_rows = sum(lengths)
+    n_vectors = len(instance.vectors)
+    # the table must be canonical, as `model.vector_table` builds it: ids
+    # first used in table order, every entry used, no entry twice
+    if (
+        any(len(column) != n_rows for column in columns)
+        or list(dict.fromkeys(vector_id)) != list(range(n_vectors))
+        or len(set(instance.vectors)) != n_vectors
+    ):
+        out.append("task columns do not match the route lengths and vector table")
+        return out
+    if route_len and _vectors_valid(instance.vectors, n_speeds) and _rows_valid(
+        instance, route_len
+    ):
+        return out
+    # some row is faulty: walk the rows to name each fault in order
+    vector_faults = [
+        _speed_vector_faults(times, energies, n_speeds) for times, energies in instance.vectors
+    ]
     n_machines = instance.machines
-    for j, route in enumerate(instance.jobs):
-        if not route:
+    start = 0
+    for j, length in enumerate(lengths):
+        if not length:
             out.append(f"job {j}: empty route")
             continue
-        if len(route) != route_len:
-            out.append(f"job {j}: route length {len(route)} != {route_len}")
-        machines_seen = [task.machine for task in route]
-        if len(set(machines_seen)) != len(machines_seen):
+        end = start + length
+        if length != route_len:
+            out.append(f"job {j}: route length {length} != {route_len}")
+        if len(set(machine[start:end])) != length:
             out.append(f"job {j}: route duplicate machine")
-        job_release, job_due = route[0].release, route[0].due
-        # unpacked once per task: cheaper than reading a tuple's fields by name
-        for p, (job, position, machine, base, times, energies, release, due) in enumerate(
-            route
-        ):
+        job_release, job_due = release[start], due[start]
+        for p, i in enumerate(range(start, end)):
             faults = []
-            if job != j or position != p:
-                faults.append("job/position labels mismatch")
-            if not 0 <= machine < n_machines:
-                faults.append(f"machine index {machine} out of range")
-            if base < 1:
+            if not 0 <= machine[i] < n_machines:
+                faults.append(f"machine index {machine[i]} out of range")
+            if base_time[i] < 1:
                 faults.append("base time must be >= 1")
-            vectors = (times, energies)
-            shared = vector_faults.get(vectors)
-            if shared is None:
-                shared = vector_faults[vectors] = _speed_vector_faults(
-                    times, energies, n_speeds
-                )
-            faults += shared
-            if release < 0:
+            faults += vector_faults[vector_id[i]]
+            if release[i] < 0:
                 faults.append("release must be >= 0")
-            if due is not None and due < release:
+            if due[i] is not None and due[i] < release[i]:
                 faults.append("due before release")
-            if release != job_release or due != job_due:
+            if release[i] != job_release or due[i] != job_due:
                 faults.append("job dates not uniform across tasks")
             if faults:
                 out.extend(f"job {j} task {p}: {fault}" for fault in faults)
+        start = end
     return out
+
+
+def _rows_valid(instance: Instance, route_len: int) -> bool:
+    """Whether every route has `route_len` >= 1 tasks on distinct machines and
+    every row passes the per-row checks of validate_instance, speed vectors
+    aside: bulk checks over the columns, one slice per job for the rest."""
+    lengths = instance.route_lengths
+    machine, release, due = instance.machine, instance.release, instance.due
+    if not (
+        lengths.count(route_len) == len(lengths)
+        and 0 <= min(machine)
+        and max(machine) < instance.machines
+        and min(instance.base_time) >= 1
+        and min(release) >= 0
+    ):
+        return False
+    for start in range(0, len(machine), route_len):
+        end = start + route_len
+        job_release, job_due = release[start], due[start]
+        if (
+            len(set(machine[start:end])) != route_len
+            or (job_due is not None and job_due < job_release)
+            or release[start:end].count(job_release) != route_len
+            or due[start:end].count(job_due) != route_len
+        ):
+            return False
+    return True
+
+
+def _vectors_valid(vectors: tuple[SpeedVectors, ...], n_speeds: int) -> bool:
+    """Whether no speed vector has a fault that _speed_vector_faults names:
+    bulk checks over the whole table, one strided pass per adjacent pair of
+    speeds."""
+    if not vectors:
+        return True
+    times, energies = zip(*vectors)
+    if {*map(len, times), *map(len, energies)} != {n_speeds}:
+        return False
+    times = list(chain.from_iterable(times))
+    energies = list(chain.from_iterable(energies))
+    return (
+        min(times, default=1) >= 1
+        and min(energies, default=1) >= 1
+        and all(
+            all(map(ge, times[k::n_speeds], times[k + 1 :: n_speeds]))
+            and all(map(le, energies[k::n_speeds], energies[k + 1 :: n_speeds]))
+            for k in range(n_speeds - 1)
+        )
+    )
 
 
 def _speed_vector_faults(
@@ -114,13 +178,13 @@ def _speed_vector_faults(
     out = []
     if len(times) != n_speeds or len(energies) != n_speeds:
         out.append(f"speed vector length != {n_speeds}")
-    if any(v < 1 for v in times):
+    if times and min(times) < 1:
         out.append("processing times must be >= 1")
-    if any(v < 1 for v in energies):
+    if energies and min(energies) < 1:
         out.append("energies must be >= 1")
-    if any(a < b for a, b in zip(times, times[1:])):
+    if list(times) != sorted(times, reverse=True):
         out.append("speed monotonicity violated (times increase)")
-    if any(a > b for a, b in zip(energies, energies[1:])):
+    if list(energies) != sorted(energies):
         out.append("energy monotonicity violated (energies decrease)")
     return out
 
@@ -129,32 +193,39 @@ def validate_schedule(instance: Instance, schedule: Schedule) -> list[str]:
     """Feasibility check: coverage, releases, job order, machine overlap."""
     out = []
     n_speeds = instance.n_speeds
-    expected = {(t.job, t.position) for t in instance.iter_tasks()}
+    keys = instance.task_keys()
+    expected = set(keys)
     got = set(schedule.entries)
     for key in sorted(expected - got):
         out.append(f"task {key}: missing entry")
     for key in sorted(got - expected):
         out.append(f"entry {key}: no such task")
 
+    entries = schedule.entries
     by_machine: dict[int, list[tuple[int, int, tuple[int, int]]]] = {}
-    for route in instance.jobs:
-        prev_end = None
-        for task in route:
-            key = (task.job, task.position)
-            if key not in schedule.entries:
-                continue
-            start, speed = schedule.entries[key]
-            where = f"task {key}"
-            if not 0 <= speed < n_speeds:
-                out.append(f"{where}: speed index {speed} out of range")
-                continue
-            if start < task.release:
-                out.append(f"{where}: release violated (start {start} < {task.release})")
-            end = start + task.times[speed]
-            if prev_end is not None and start < prev_end:
-                out.append(f"{where}: starts before job predecessor completes")
-            prev_end = end
-            by_machine.setdefault(task.machine, []).append((start, end, key))
+    prev_end = None
+    for key, machine, release, (times, _) in zip(
+        keys,
+        instance.machine,
+        instance.release,
+        map(instance.vectors.__getitem__, instance.vector_id),
+    ):
+        if not key[1]:  # a new job starts
+            prev_end = None
+        if key not in entries:
+            continue
+        start, speed = entries[key]
+        where = f"task {key}"
+        if not 0 <= speed < n_speeds:
+            out.append(f"{where}: speed index {speed} out of range")
+            continue
+        if start < release:
+            out.append(f"{where}: release violated (start {start} < {release})")
+        end = start + times[speed]
+        if prev_end is not None and start < prev_end:
+            out.append(f"{where}: starts before job predecessor completes")
+        prev_end = end
+        by_machine.setdefault(machine, []).append((start, end, key))
 
     for machine in sorted(by_machine):
         intervals = sorted(by_machine[machine])
@@ -177,18 +248,24 @@ def objectives(instance: Instance, schedule: Schedule) -> ObjectiveReport:
 
 def _objective_values(instance: Instance, schedule: Schedule) -> ObjectiveReport:
     """The objectives of a schedule already known to be feasible and complete."""
+    entries = schedule.entries
+    vectors = instance.vectors
+    vector_id = instance.vector_id
     makespan = 0
     energy = 0
     tardiness = 0
-    for route in instance.jobs:
+    i = 0
+    for j, length in enumerate(instance.route_lengths):
         job_end = 0
-        for task in route:
-            start, speed = schedule.entries[(task.job, task.position)]
-            end = start + task.times[speed]
-            energy += task.energies[speed]
-            makespan = max(makespan, end)
-            job_end = end
-        due = route[-1].due
+        for p in range(length):
+            start, speed = entries[(j, p)]
+            times, energies = vectors[vector_id[i]]
+            job_end = start + times[speed]
+            energy += energies[speed]
+            if job_end > makespan:
+                makespan = job_end
+            i += 1
+        due = instance.due[i - 1] if length else None
         if due is not None:
             tardiness += max(0, job_end - due)
     return ObjectiveReport(
@@ -260,7 +337,7 @@ def brute_force_best(
     machine sequencings) crossed with every speed assignment; ties are broken
     by the lexicographically smallest schedule encoding.
     """
-    total_tasks = sum(len(route) for route in instance.jobs)
+    total_tasks = sum(instance.route_lengths)
     if total_tasks > ORACLE_MAX_TASKS:
         raise ValueError(
             f"oracle limited to {ORACLE_MAX_TASKS} tasks, got {total_tasks}"
@@ -271,8 +348,8 @@ def brute_force_best(
         )
     _report_value(ObjectiveReport(0, 0, 0), objective)  # reject bad selector early
 
-    keys = [(t.job, t.position) for t in instance.iter_tasks()]
-    counts = [len(route) for route in instance.jobs]
+    keys = instance.task_keys()
+    counts = list(instance.route_lengths)
     next_pos = [0] * len(counts)
 
     best: Optional[tuple[int, tuple, Schedule]] = None
@@ -299,7 +376,7 @@ def suite_stats(instances: Iterable[Instance]) -> tuple[list[dict], dict]:
     """Per-instance composition rows plus min/max summary of numeric columns."""
     rows = []
     for inst in instances:
-        bases = [t.base_time for t in inst.iter_tasks()]
+        bases = inst.base_time
         rows.append(
             {
                 "index": inst.metadata.instance_index,

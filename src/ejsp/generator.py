@@ -4,15 +4,15 @@ The draw order is part of the reproducibility contract and is fixed as:
 job routes (one partial shuffle per job, jobs ascending), then base times
 row-major (job-major, task-minor), then release dates jobs ascending.
 Scaling consumes no draws. Every instance q uses its own stream derived from
-(seed, q), so a suite is prefix-stable in its count and may be generated in
-parallel with results identical to sequential runs.
+(seed, q), so a suite is prefix-stable in its count and any instance can be
+generated on its own.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 from typing import Optional, Sequence
 
 from ejsp._version import __version__
@@ -21,9 +21,9 @@ from ejsp.model import (
     Instance,
     InstanceMetadata,
     InstanceParams,
-    TaskSpec,
     round6,
     validate_params,
+    vector_table,
 )
 from ejsp.rng import PRNG_ID, Stream, make_stream, sample, sample_int_range
 from ejsp.speed import ScaledTask, round_half_up, scale_task, speed_grid
@@ -165,27 +165,26 @@ def generate_instance(params: InstanceParams, q: int) -> Instance:
         stream, params.jobs, params.tasks_per_job, params.base_time_range
     )
     grid = speed_grid(params.speeds)
-    scaled = [[scale_task(b, grid) for b in row] for row in base]
+    base_time = tuple(chain.from_iterable(base))
+    # equal base times share their speed vectors: scale each distinct one once
+    by_base = {b: scale_task(b, grid) for b in dict.fromkeys(base_time)}
+    ids, table = vector_table([(s.times, s.energies) for s in by_base.values()])
+    vector_of_base = dict(zip(by_base, ids))
 
+    n_tasks = params.tasks_per_job
     if params.rrdd == "none":
-        dates: list[tuple[int, Optional[int]]] = [(0, None)] * params.jobs
+        release = (0,) * len(base_time)
+        due: tuple[Optional[int], ...] = (None,) * len(base_time)
         resolved = _round_given(params.dist)
     else:
         resolved = resolve_dist(params.dist, work_horizon(base, params.machines))
+        scaled = [list(map(by_base.__getitem__, row)) for row in base]
         dates = generate_release_due(
             stream, base, scaled, params.machines, resolved, params.rrdd
         )
+        release = tuple(chain.from_iterable([r] * n_tasks for r, _ in dates))
+        due = tuple(chain.from_iterable([d] * n_tasks for _, d in dates))
 
-    # positional: a keyword call costs about twice as much, once per task row
-    jobs = tuple(
-        tuple(
-            TaskSpec(j, t, machine, b, s.times, s.energies, release, due)
-            for t, (machine, b, s) in enumerate(zip(route, base_row, scaled_row))
-        )
-        for j, (route, base_row, scaled_row, (release, due)) in enumerate(
-            zip(routes, base, scaled, dates)
-        )
-    )
     metadata = InstanceMetadata(
         seed=params.seed,
         instance_index=q,
@@ -195,21 +194,26 @@ def generate_instance(params: InstanceParams, q: int) -> Instance:
         prng_id=PRNG_ID,
     )
     return Instance(
-        jobs=jobs, machines=params.machines, speed_multipliers=grid, metadata=metadata
+        (n_tasks,) * params.jobs,
+        tuple(chain.from_iterable(routes)),
+        base_time,
+        release,
+        due,
+        tuple(map(vector_of_base.__getitem__, base_time)),
+        table,
+        params.machines,
+        grid,
+        metadata,
     )
 
 
 def generate_suite(params: InstanceParams, *, threads: int = 1) -> list[Instance]:
     """All `count` instances, in index order.
 
-    With threads > 1 instances are generated concurrently; per-index streams
-    make the result identical to a sequential run.
+    `threads` is accepted for compatibility and ignored: generation is pure
+    Python, so threads only added overhead under the GIL.
     """
     violations = validate_params(params)
     if violations:
         raise ValueError("invalid params: " + "; ".join(violations))
-    indices = range(params.count)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda q: generate_instance(params, q), indices))
-    return [generate_instance(params, q) for q in indices]
+    return [generate_instance(params, q) for q in range(params.count)]

@@ -11,8 +11,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass
+from itertools import chain, islice, repeat
+from operator import add, methodcaller
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Callable, NoReturn, Optional, Sequence, Union
 
 from ejsp.model import (
     DistSpec,
@@ -20,7 +22,7 @@ from ejsp.model import (
     InstanceMetadata,
     InstanceParams,
     SpeedGrid,
-    TaskSpec,
+    vector_table,
 )
 from ejsp.speed import energy_percentage, time_fraction
 
@@ -90,17 +92,24 @@ def write_instance(instance: Instance) -> bytes:
         f"prng {meta.prng_id}",
         f"version {meta.generator_version}",
     ]
-    # tasks with equal base times share their speed vectors: format each once
-    speed_fields: dict[tuple[tuple[int, ...], tuple[int, ...]], str] = {}
-    # unpacked once per task: cheaper than reading a tuple's fields by name
-    for job, position, machine, base, times, energies, release, due in instance.iter_tasks():
-        vectors = (times, energies)
-        speeds = speed_fields.get(vectors)
-        if speeds is None:
-            speeds = speed_fields[vectors] = "".join(f" {v}" for v in times + energies)
-        if due is None:
-            due = UNBOUNDED_TOKEN
-        lines.append(f"{job} {position} {machine} {base} {release} {due}{speeds}")
+    # each table entry and each distinct value formatted once; rows are
+    # assembled column by column, in C
+    speed_text = [
+        " ".join(("", *map(str, times + energies))) for times, energies in instance.vectors
+    ]
+    lengths = instance.route_lengths
+    positions = [str(p) for p in range(max(lengths, default=0))]
+    columns = (instance.machine, instance.base_time, instance.release, instance.due)
+    text = {value: str(value) for value in set().union(*columns)}
+    text[None] = UNBOUNDED_TOKEN
+    rows = zip(
+        chain.from_iterable(map(repeat, map(str, range(len(lengths))), lengths)),
+        chain.from_iterable(map(islice, repeat(positions), lengths)),
+        *(map(text.__getitem__, column) for column in columns),
+    )
+    lines.extend(
+        map(add, map(" ".join, rows), map(speed_text.__getitem__, instance.vector_id))
+    )
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -132,9 +141,9 @@ def _parse_int(token: str, line: int, what: str) -> int:
 
 
 def _reject_task_line(text: str, line: int, n_speeds: int) -> None:
-    """Raise the ParseError for a task line that failed the fast parse: a
-    wrong field count first, else the first token that is not an integer
-    (the due column may also be the unbounded token)."""
+    """Raise the ParseError for a wrong field count on a task line, else for
+    its first token that is not an integer (the due column may also be the
+    unbounded token); return if the line has neither fault."""
     width = 6 + 2 * n_speeds
     if text.count(" ") != width - 1:
         raise ParseError(
@@ -165,13 +174,101 @@ def _header(cur: _Cursor, key: str) -> list[str]:
     return parts[1:]
 
 
+_split_task_line = methodcaller("split", " ", 6)
+
+
+def _task_columns(block: list[str], n_jobs: int, n_tasks: int, n_speeds: int) -> tuple:
+    """The columns from `machine` to `vectors` of an Instance, parsed column
+    by column from a task block of one line per task.
+
+    Raises ValueError unless the block holds exactly the expected lines, each
+    well formed and carrying its own job and position; `_reject_task_block`
+    then names the fault.
+    """
+    if len(block) != n_jobs * n_tasks:
+        raise ValueError
+    if not block:
+        return (), (), (), (), (), ()
+    # the six leading fields and the speed-vector text of every line, as one
+    # flat list sliced into columns: each line's own list is dropped at once,
+    # which leaves the garbage collector nothing to traverse
+    fields = list(chain.from_iterable(map(_split_task_line, block)))
+    if len(fields) != 7 * len(block):  # a line has fewer than seven fields
+        raise ValueError
+    job, position, machine, base_time, release, due, speeds = (
+        fields[k::7] for k in range(7)
+    )
+    # labels are integers like any other field (`01` is job 1); the text
+    # compare first is the cheap test for the writer's form
+    if job != list(chain.from_iterable(repeat(str(j), n_tasks) for j in range(n_jobs))):
+        if list(map(int, job)) != list(
+            chain.from_iterable(repeat(j, n_tasks) for j in range(n_jobs))
+        ):
+            raise ValueError
+    if position != list(map(str, range(n_tasks))) * n_jobs:
+        if list(map(int, position)) != list(range(n_tasks)) * n_jobs:
+            raise ValueError
+    # each distinct speed-vector text parsed once, in row order of first use
+    texts = list(dict.fromkeys(speeds))
+    if set(map(methodcaller("count", " "), texts)) != {2 * n_speeds - 1}:
+        raise ValueError
+    values = map(int, " ".join(texts).split(" "))
+    halves = list(zip(*[values] * n_speeds))
+    # texts that differ in form only, such as by a leading zero, share an entry
+    ids, table = vector_table(list(zip(halves[::2], halves[1::2])))
+    return (
+        _parse_column(machine, int),
+        _parse_column(base_time, int),
+        _parse_column(release, int),
+        _parse_column(due, _parse_due),
+        tuple(map(dict(zip(texts, ids)).__getitem__, speeds)),
+        table,
+    )
+
+
+def _parse_column(tokens: list[str], parse: Callable[[str], Any]) -> tuple:
+    """`parse` of every token, each distinct token parsed once."""
+    value = {token: parse(token) for token in set(tokens)}
+    return tuple(map(value.__getitem__, tokens))
+
+
+def _parse_due(token: str) -> Optional[int]:
+    return None if token == UNBOUNDED_TOKEN else int(token)
+
+
+def _reject_task_block(
+    lines: list[str], line_no: int, n_jobs: int, n_tasks: int, n_speeds: int
+) -> NoReturn:
+    """Raise the ParseError of the first faulty line of a task block that
+    `_task_columns` refused, walking the lines from 1-based `line_no` on."""
+    for j in range(n_jobs):
+        for p in range(n_tasks):
+            if line_no > len(lines):
+                raise ParseError(
+                    line_no,
+                    f"unexpected end of file, expected task line for job {j} position {p}",
+                )
+            line = lines[line_no - 1]
+            _reject_task_line(line, line_no, n_speeds)
+            if tuple(map(int, line.split(" ", 2)[:2])) != (j, p):
+                raise ParseError(
+                    line_no, f"task lines out of order: expected job {j} position {p}"
+                )
+            line_no += 1
+    if line_no <= len(lines):
+        raise ParseError(line_no, "unexpected trailing content")
+    raise AssertionError("task block refused, but no line is faulty")
+
+
 def read_instance(data: Union[bytes, str]) -> Instance:
     """Parse canonical text back into an Instance.
 
     Raises ParseError (with line number) for malformed syntax, a non-ASCII
-    byte included, and ValidationError for payloads that break instance
-    invariants.
+    byte or character included, and ValidationError for payloads that break
+    instance invariants.
     """
+    if isinstance(data, str) and not data.isascii():
+        data = data.encode("utf-8", "surrogatepass")  # reported as its bytes would be
     if isinstance(data, bytes):
         try:
             text = data.decode("ascii")
@@ -217,55 +314,16 @@ def read_instance(data: Union[bytes, str]) -> Instance:
     prng_id = _header(cur, "prng")[0]
     version = _header(cur, "version")[0]
 
-    routes: list[list[TaskSpec]] = [[] for _ in range(max(n_jobs, 0))]
-    n_values = 2 * n_speeds
-    lines = cur.lines
-    line_no = cur.line_no
-    # speed-vector text -> parsed (times, energies); equal vectors share
-    # tuples, and a text is only stored once it holds n_values integers, so a
-    # hit also vouches for the line's field count
-    vectors: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for j, route in enumerate(routes):
-        for p in range(n_tasks):
-            if line_no > len(lines):
-                raise ParseError(
-                    line_no,
-                    f"unexpected end of file, expected task line for job {j} position {p}",
-                )
-            line = lines[line_no - 1]
-            try:
-                tj, tp, machine, base_time, release, due, speed_text = line.split(" ", 6)
-                speeds = vectors.get(speed_text)
-                if speeds is None:
-                    tokens = speed_text.split(" ")
-                    if len(tokens) != n_values:
-                        raise ValueError
-                    values = tuple(map(int, tokens))
-                    speeds = vectors[speed_text] = (values[:n_speeds], values[n_speeds:])
-                tj = int(tj)
-                tp = int(tp)
-                task = TaskSpec(
-                    tj,
-                    tp,
-                    int(machine),
-                    int(base_time),
-                    *speeds,
-                    int(release),
-                    None if due == UNBOUNDED_TOKEN else int(due),
-                )
-            except ValueError:
-                _reject_task_line(line, line_no, n_speeds)
-            if tj != j or tp != p:
-                raise ParseError(
-                    line_no, f"task lines out of order: expected job {j} position {p}"
-                )
-            route.append(task)
-            line_no += 1
-    if line_no <= len(lines):
-        raise ParseError(line_no, "unexpected trailing content")
+    n_jobs = max(n_jobs, 0)
+    n_tasks = max(n_tasks, 0)
+    try:
+        columns = _task_columns(cur.lines[cur.pos :], n_jobs, n_tasks, n_speeds)
+    except ValueError:
+        _reject_task_block(cur.lines, cur.line_no, n_jobs, n_tasks, n_speeds)
 
     instance = Instance(
-        jobs=tuple(tuple(route) for route in routes),
+        (n_tasks,) * n_jobs,
+        *columns,
         machines=machines,
         speed_multipliers=SpeedGrid(multipliers),
         metadata=InstanceMetadata(

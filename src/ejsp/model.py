@@ -5,13 +5,20 @@ be shared freely between threads once constructed. Invariants are enforced by
 validators (``validate_params`` here, ``evaluate.validate_instance`` for whole
 instances), not by constructors, so that violations stay reportable data
 instead of exceptions.
+
+An ``Instance`` keeps its task rows as flat columns (machine, base time,
+dates and a speed-vector id per row) plus one table of the distinct speed
+vectors, because the paper's suite holds 2.41M task rows: per-row objects
+would dominate the cost of every command, garbage collection included. The
+per-task ``TaskSpec`` survives as a read-only view for callers that want
+one object per task.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 DIST_KINDS = ("exponential", "gaussian", "uniform")
 RRDD_MODES = ("none", "loose", "tight")
@@ -92,10 +99,9 @@ class SpeedGrid:
 class TaskSpec(NamedTuple):
     """One task: its machine, base time, per-speed times/energies and dates.
 
-    A named tuple rather than a frozen dataclass: instances hold one per task
-    row (2.41M in the paper suite), and a tuple is about 3.5x cheaper to
-    build. It compares equal to a plain tuple of its fields; copy one with
-    ``_replace``, not ``dataclasses.replace``.
+    The row view of an ``Instance``'s columns, and the input of
+    ``Instance.from_jobs``. A named tuple: it compares equal to a plain tuple
+    of its fields; copy one with ``_replace``, not ``dataclasses.replace``.
     """
 
     job: int
@@ -139,28 +145,126 @@ class InstanceMetadata:
         return "+".join(parts) if parts else "orig"
 
 
+SpeedVectors = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def vector_table(
+    vectors: Sequence[SpeedVectors],
+) -> tuple[Sequence[int], tuple[SpeedVectors, ...]]:
+    """The canonical table of `vectors` (distinct entries in order of first
+    appearance) and, for each of `vectors`, its index in the table."""
+    table = dict.fromkeys(vectors)
+    if len(table) == len(vectors):
+        return range(len(vectors)), tuple(table)
+    index = {entry: i for i, entry in enumerate(table)}
+    return [index[entry] for entry in vectors], tuple(table)
+
+
 @dataclass(frozen=True)
 class Instance:
-    """One job-shop instance with speed-scalable tasks."""
+    """One job-shop instance with speed-scalable tasks, stored by column.
 
-    jobs: tuple[tuple[TaskSpec, ...], ...]
+    Task rows are numbered job by job (job-major, position-minor): job j owns
+    rows ``sum(route_lengths[:j])`` onwards, one per route position. Each row
+    has an entry in ``machine``, ``base_time``, ``release``, ``due`` (None =
+    unbounded) and ``vector_id``, an index into ``vectors``, the table of
+    distinct (times, energies) pairs. The table is canonical: entries appear
+    in row order of first use, with no duplicates, so two instances with the
+    same tasks have equal columns whichever path built them.
+
+    Build one by hand with ``from_jobs``; ``jobs`` and ``iter_tasks`` give a
+    read-only ``TaskSpec`` view, built once on first access.
+    """
+
+    route_lengths: tuple[int, ...]
+    machine: tuple[int, ...]
+    base_time: tuple[int, ...]
+    release: tuple[int, ...]
+    due: tuple[Optional[int], ...]
+    vector_id: tuple[int, ...]
+    vectors: tuple[SpeedVectors, ...]
     machines: int
     speed_multipliers: SpeedGrid
     metadata: InstanceMetadata
 
+    @classmethod
+    def from_jobs(
+        cls,
+        jobs: Sequence[Sequence[TaskSpec]],
+        machines: int,
+        speed_multipliers: SpeedGrid,
+        metadata: InstanceMetadata,
+    ) -> Instance:
+        """The instance holding these per-job task routes.
+
+        Raises ValueError for a task whose job/position labels disagree with
+        its place: the columns number tasks by place and cannot hold it.
+        """
+        machine, base_time, release, due, vectors = [], [], [], [], []
+        for j, route in enumerate(jobs):
+            for p, task in enumerate(route):
+                job, position, m, b, times, energies, r, d = task
+                if job != j or position != p:
+                    raise ValueError(
+                        f"task labelled job {job} position {position} "
+                        f"sits at job {j} position {p}"
+                    )
+                machine.append(m)
+                base_time.append(b)
+                release.append(r)
+                due.append(d)
+                vectors.append((tuple(times), tuple(energies)))
+        vector_id, table = vector_table(vectors)
+        return cls(
+            tuple(len(route) for route in jobs),
+            tuple(machine),
+            tuple(base_time),
+            tuple(release),
+            tuple(due),
+            tuple(vector_id),
+            table,
+            machines,
+            speed_multipliers,
+            metadata,
+        )
+
     @property
     def n_jobs(self) -> int:
-        return len(self.jobs)
+        return len(self.route_lengths)
 
     @property
     def n_tasks_per_job(self) -> int:
-        return len(self.jobs[0]) if self.jobs else 0
+        return self.route_lengths[0] if self.route_lengths else 0
 
     @property
     def n_speeds(self) -> int:
         return len(self.speed_multipliers)
 
-    def iter_tasks(self):
+    @cached_property
+    def jobs(self) -> tuple[tuple[TaskSpec, ...], ...]:
+        """Per-job task routes as ``TaskSpec`` views of the columns."""
+        rows = zip(
+            self.machine,
+            self.base_time,
+            map(self.vectors.__getitem__, self.vector_id),
+            self.release,
+            self.due,
+        )
+        return tuple(
+            tuple(
+                TaskSpec(j, p, machine, base, times, energies, release, due)
+                for p, (machine, base, (times, energies), release, due) in zip(
+                    range(length), rows
+                )
+            )
+            for j, length in enumerate(self.route_lengths)
+        )
+
+    def task_keys(self) -> list[tuple[int, int]]:
+        """(job, position) of every task row, in row order."""
+        return [(j, p) for j, length in enumerate(self.route_lengths) for p in range(length)]
+
+    def iter_tasks(self) -> Iterator[TaskSpec]:
         for route in self.jobs:
             yield from route
 

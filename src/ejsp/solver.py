@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import repeat
 from operator import add
+from typing import Sequence
 
 from ejsp.model import Instance, Schedule
 from ejsp.evaluate import validate_schedule
@@ -50,13 +52,14 @@ def _policy_speed(instance: Instance, policy: str) -> int:
     return instance.speed_multipliers.reference_index
 
 
-def _rule_key(rule: str, task, speed: int):
+def _rule_ranks(rule: str, instance: Instance, duration: list[int]) -> Sequence:
+    """Per-row priority under `rule`, lowest first; ties go to the lower job."""
     if rule == "fifo":
-        return (task.release, task.job)
+        return instance.release
     if rule == "spt":
-        return (task.times[speed], task.job)
+        return duration
     # edd: unbounded dues sort last
-    return (task.due is None, task.due if task.due is not None else 0, task.job)
+    return [(due is None, due if due is not None else 0) for due in instance.due]
 
 
 def dispatch(instance: Instance, config: SolverConfig) -> Schedule:
@@ -69,36 +72,45 @@ def dispatch(instance: Instance, config: SolverConfig) -> Schedule:
     only when no task is ready.
     """
     _check_config(config)
-    rule = config.rule
     speed = _policy_speed(instance, config.speed_policy)
+    vector_duration = [times[speed] for times, _ in instance.vectors]
+    duration = list(map(vector_duration.__getitem__, instance.vector_id))
+    rank = _rule_ranks(config.rule, instance, duration)
+    machine, release = instance.machine, instance.release
     machine_free = [0] * instance.machines
     entries: dict[tuple[int, int], tuple[int, int]] = {}
     # one pending event per job, keyed (release time, job) and carrying the
-    # job's next task; ready keys end in the job too, so no two tasks compare
-    events = [(max(route[0].release, 0), j, route[0]) for j, route in enumerate(instance.jobs) if route]
+    # row of the job's next task; ready entries are (rank, job, row), and a
+    # job has at most one task ready, so no two entries tie on (rank, job)
+    events = []
+    first = [0]
+    for j, length in enumerate(instance.route_lengths):
+        if length:
+            events.append((max(release[first[j]], 0), j, first[j]))
+        first.append(first[j] + length)
     events.sort()
-    ready: list = []
+    ready: list[tuple] = []
     while events:
         now = events[0][0]
         while events and events[0][0] == now:
-            task = heappop(events)[2]
-            heappush(ready, ((_rule_key(rule, task, speed), task.job), task))
+            _, j, i = heappop(events)
+            heappush(ready, (rank[i], j, i))
         # with times >= 1 a successor is released after `now`; one released
         # by `now` competes in the current ready set, as in a full scan
         while ready:
-            task = heappop(ready)[1]
-            start = max(now, machine_free[task.machine])
-            entries[(task.job, task.position)] = (start, speed)
-            end = start + task.times[speed]
-            machine_free[task.machine] = end
-            route = instance.jobs[task.job]
-            if task.position + 1 < len(route):
-                nxt = route[task.position + 1]
-                at = max(nxt.release, end)
+            _, j, i = heappop(ready)
+            m = machine[i]
+            start = max(now, machine_free[m])
+            entries[(j, i - first[j])] = (start, speed)
+            end = start + duration[i]
+            machine_free[m] = end
+            i += 1
+            if i < first[j + 1]:
+                at = max(release[i], end)
                 if at <= now:
-                    heappush(ready, ((_rule_key(rule, nxt, speed), nxt.job), nxt))
+                    heappush(ready, (rank[i], j, i))
                 else:
-                    heappush(events, (at, nxt.job, nxt))
+                    heappush(events, (at, j, i))
     return Schedule(entries=entries)
 
 
@@ -246,26 +258,26 @@ def improve(instance: Instance, schedule: Schedule, budget: int) -> Schedule:
     if budget == 0:
         return schedule
 
-    tasks = list(instance.iter_tasks())
-    n = len(tasks)
-    keys = [(t.job, t.position) for t in tasks]
-    times = [t.times for t in tasks]
-    release = [max(t.release, 0) for t in tasks]
+    keys = instance.task_keys()
+    n = len(keys)
+    vector_times = [times for times, _ in instance.vectors]
+    times = list(map(vector_times.__getitem__, instance.vector_id))
+    release = [max(r, 0) for r in instance.release]
     job_next = []
     job_preds = []
-    for route in instance.jobs:
+    for length in instance.route_lengths:
         first = len(job_next)
-        job_next.extend(range(first + 1, first + len(route)))
-        job_preds.extend(1 for _ in route)
-        if route:
+        job_next.extend(range(first + 1, first + length))
+        job_preds.extend(repeat(1, length))
+        if length:
             job_next.append(-1)
             job_preds[first] = 0
     entries = schedule.entries
     speed = [entries[key][1] for key in keys]
     duration = [t[s] for t, s in zip(times, speed)]
     by_machine: list[list[tuple[int, tuple[int, int], int]]] = [[] for _ in range(instance.machines)]
-    for i, task in enumerate(tasks):
-        by_machine[task.machine].append((entries[keys[i]][0], keys[i], i))
+    for i, m in enumerate(instance.machine):
+        by_machine[m].append((entries[keys[i]][0], keys[i], i))
     sequences = [[i for _, _, i in sorted(seq)] for seq in by_machine]
     speed_order = sorted(range(n), key=keys.__getitem__)
     n_speeds = instance.n_speeds

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from ejsp.model import Instance, SpeedGrid, TaskSpec
+from ejsp.model import Instance, SpeedGrid, vector_table
 
 # 0-based columns of a 5-speed grid for the two standard derived variants:
 # first/third/fifth speeds, and third speed only.
@@ -21,15 +21,11 @@ SUBSET_THIRD_ONLY = (2,)
 
 def relax_dates(instance: Instance) -> Instance:
     """Copy with every release 0 and every due unbounded; nothing else moves."""
-    # every field up to `energies` kept, then release 0 and due unbounded
-    jobs = tuple(
-        tuple(TaskSpec(*task[:6], 0, None) for task in route)
-        for route in instance.jobs
-    )
-    return Instance(
-        jobs=jobs,
-        machines=instance.machines,
-        speed_multipliers=instance.speed_multipliers,
+    n_rows = len(instance.release)
+    return replace(
+        instance,
+        release=(0,) * n_rows,
+        due=(None,) * n_rows,
         metadata=replace(instance.metadata, dates_relaxed=True),
     )
 
@@ -39,7 +35,8 @@ def project_speeds(instance: Instance, subset: Sequence[int]) -> Instance:
 
     `subset` must be strictly increasing and within the current speed count.
     Metadata records the retained columns as indices of the *original* grid,
-    so chained projections compose.
+    so chained projections compose. Only the speed-vector table is mapped;
+    the task columns are shared with `instance`.
     """
     subset = tuple(subset)
     n = instance.n_speeds
@@ -50,40 +47,22 @@ def project_speeds(instance: Instance, subset: Sequence[int]) -> Instance:
     if any(a >= b for a, b in zip(subset, subset[1:])):
         raise ValueError(f"speed subset {subset} must be strictly increasing")
 
-    def take(vec: tuple, idx: Sequence[int]) -> tuple:
-        return tuple(vec[i] for i in idx)
+    def take(vec: tuple) -> tuple:
+        return tuple(vec[i] for i in subset)
 
-    # tasks with equal base times share speed vectors: project each once
-    projected: dict[tuple, tuple] = {}
-
-    def project(vec: tuple) -> tuple:
-        out = projected.get(vec)
-        if out is None:
-            out = projected[vec] = take(vec, subset)
-        return out
-
-    jobs = tuple(
-        tuple(
-            TaskSpec(  # positional, as in io.read_instance: cheaper per task
-                task.job,
-                task.position,
-                task.machine,
-                task.base_time,
-                project(task.times),
-                project(task.energies),
-                task.release,
-                task.due,
-            )
-            for task in route
-        )
-        for route in instance.jobs
+    ids, table = vector_table(
+        [(take(times), take(energies)) for times, energies in instance.vectors]
     )
+    vector_id = instance.vector_id
+    if len(table) < len(instance.vectors):  # some differed only in dropped speeds
+        vector_id = tuple(map(ids.__getitem__, vector_id))
     prior = instance.metadata.speed_subset
-    original_subset = take(prior, subset) if prior is not None else subset
-    return Instance(
-        jobs=jobs,
-        machines=instance.machines,
-        speed_multipliers=SpeedGrid(take(instance.speed_multipliers.multipliers, subset)),
+    original_subset = take(prior) if prior is not None else subset
+    return replace(
+        instance,
+        vector_id=vector_id,
+        vectors=table,
+        speed_multipliers=SpeedGrid(take(instance.speed_multipliers.multipliers)),
         metadata=replace(instance.metadata, speed_subset=original_subset),
     )
 

@@ -62,8 +62,8 @@ def make_instance(routes, multipliers=(1.0,), machines=None, **meta) -> Instance
             )
             n_machines = max(n_machines, machine + 1)
         jobs.append(tuple(tasks))
-    return Instance(
-        jobs=tuple(jobs),
+    return Instance.from_jobs(
+        jobs,
         machines=machines if machines is not None else n_machines,
         speed_multipliers=grid,
         metadata=make_metadata(**meta),

@@ -3,15 +3,25 @@
 climb replaced them in `ejsp.solver`.
 
 The differential tests in test_solver.py require both implementations to
-return equal schedules. Only `_check_config`, `_policy_speed` and `_rule_key`
-are shared with `ejsp.solver`.
+return equal schedules. Only `_check_config` and `_policy_speed` are shared
+with `ejsp.solver`; `_rule_key` is the per-task priority key `ejsp.solver`
+used before it ranked rows of the columnar instance.
 """
 
 from __future__ import annotations
 
 from ejsp.evaluate import objectives, validate_schedule
 from ejsp.model import Instance, Schedule
-from ejsp.solver import SolverConfig, _check_config, _policy_speed, _rule_key
+from ejsp.solver import SolverConfig, _check_config, _policy_speed
+
+
+def _rule_key(rule: str, task, speed: int):
+    if rule == "fifo":
+        return (task.release, task.job)
+    if rule == "spt":
+        return (task.times[speed], task.job)
+    # edd: unbounded dues sort last
+    return (task.due is None, task.due if task.due is not None else 0, task.job)
 
 
 def dispatch(instance: Instance, config: SolverConfig) -> Schedule:

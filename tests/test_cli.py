@@ -5,7 +5,7 @@ import filecmp
 from ejsp.cli import run_cli
 from ejsp.io import read_suite, write_instance
 from ejsp.generator import generate_instance
-from ejsp.model import DistSpec, InstanceParams
+from ejsp.model import DistSpec, InstanceParams, TaskSpec
 
 
 def gen_args(out, count=4, seed="42", **extra):
@@ -279,6 +279,39 @@ class TestSolve:
     def test_negative_budget_rejected(self, tmp_path):
         assert run_cli(gen_args(tmp_path / "d", count=1)) == 0
         assert run_cli(["solve", str(tmp_path / "d"), "--budget", "-1"]) == 2
+
+
+class TestColumnarPaths:
+    def test_commands_build_no_task_views(self, tmp_path, monkeypatch, capsys):
+        built = []
+        new = TaskSpec.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(TaskSpec, "__new__", staticmethod(counted))
+        d = tmp_path
+        undated = gen_args(d / "n", count=2, seed="7")
+        undated[undated.index("--rrdd") + 1] = "none"
+        commands = [
+            ["generate", "--paper-suite", "--count", "2", "--seed", "5", "--out", str(d / "p")],
+            gen_args(d / "g", count=3),
+            undated,
+            ["derive", "--variants", "relax", "--in", str(d / "g"), "--out", str(d / "r")],
+            ["derive", "--variants", "paper", "--in", str(d / "n"), "--out", str(d / "v")],
+            ["derive", "--variants", "project", "--subset", "0,2",
+             "--in", str(d / "g"), "--out", str(d / "s")],
+            ["validate", *(str(d / x) for x in "pgnrvs")],
+            ["solve", str(d / "p"), str(d / "g"), "--rule", "edd", "--speed-policy", "reference"],
+            ["solve", str(d / "g"), str(d / "n"), "--rule", "spt", "--budget", "2"],
+        ]
+        for argv in commands:
+            assert run_cli(argv) == 0, argv
+        assert built == []
+        # the counter sees the views the commands do not build
+        read_suite(d / "g")[0].jobs
+        assert len(built) == 12
 
 
 class TestCurves:

@@ -1,9 +1,13 @@
 """Validation messages, objective arithmetic, and the brute-force oracle."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ejsp.evaluate import (
+    _speed_vector_faults,
+    _vectors_valid,
     brute_force_best,
     objectives,
     suite_stats,
@@ -11,10 +15,11 @@ from ejsp.evaluate import (
     validate_schedule,
 )
 from ejsp.generator import generate_instance
-from ejsp.model import DistSpec, InstanceParams, Schedule
+from ejsp.model import DistSpec, Instance, InstanceParams, Schedule, SpeedGrid, TaskSpec
 from ejsp.solver import SolverConfig, dispatch
 
-from conftest import make_instance
+import io_reference
+from conftest import make_instance, make_metadata
 
 
 def single_chain(due=None):
@@ -43,11 +48,11 @@ class TestValidateInstance:
         assert any("speed monotonicity" in v for v in validate_instance(inst))
 
     def test_base_time_positive(self):
-        import dataclasses
-
         inst = make_instance([[(0, 3, 5)]])
         bad_task = inst.jobs[0][0]._replace(base_time=0)
-        patched = dataclasses.replace(inst, jobs=((bad_task,),))
+        patched = Instance.from_jobs(
+            ((bad_task,),), inst.machines, inst.speed_multipliers, inst.metadata
+        )
         assert any("base time" in v for v in validate_instance(patched))
 
     def test_machine_out_of_range(self):
@@ -94,6 +99,87 @@ class TestValidateInstance:
     def test_bad_dist_params_reported(self):
         inst = make_instance([[(0, 3, 5)]], dist=DistSpec("exponential", lam=0.0))
         assert any("lambda" in v for v in validate_instance(inst))
+
+    def test_columns_must_match_route_lengths(self):
+        inst = make_instance([[(0, 3, 5), (1, 4, 6)]])
+        assert validate_instance(inst) == []
+        first, second = inst.vectors
+        for patched in (
+            dataclasses.replace(inst, machine=inst.machine[:1]),
+            dataclasses.replace(inst, route_lengths=(3,)),
+            dataclasses.replace(inst, vector_id=(0, 2)),
+            # a table that is not canonical: an entry twice, entries out of
+            # order of first use, an unused entry
+            dataclasses.replace(inst, vectors=(first, first)),
+            dataclasses.replace(inst, vector_id=(1, 0), vectors=(second, first)),
+            dataclasses.replace(inst, vectors=(first, second, ((7,), (8,)))),
+        ):
+            assert validate_instance(patched) == [
+                "task columns do not match the route lengths and vector table"
+            ]
+
+
+# a task spec: machine, times, energies, release, due; small values so that
+# every check can fail
+task_specs = st.tuples(
+    st.integers(-1, 3),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.lists(st.integers(-1, 4), max_size=3),
+    st.integers(-1, 3),
+    st.none() | st.integers(-1, 4),
+)
+
+
+class TestValidateAgainstReference:
+    """The bulk checks and the row walk of validate_instance agree with the
+    per-task validation it replaced, message for message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        routes=st.lists(st.lists(task_specs, max_size=3), max_size=3),
+        speeds=st.integers(1, 3),
+        machines=st.integers(0, 3),
+        base=st.integers(-1, 2),
+    )
+    def test_same_violations(self, routes, speeds, machines, base):
+        jobs = tuple(
+            tuple(
+                TaskSpec(j, p, m, base + p, tuple(times), tuple(energies), release, due)
+                for p, (m, times, energies, release, due) in enumerate(route)
+            )
+            for j, route in enumerate(routes)
+        )
+        grid = SpeedGrid(tuple(float(s + 1) for s in range(speeds)))
+        meta = make_metadata()
+        inst = Instance.from_jobs(jobs, machines, grid, meta)
+        assert inst.jobs == jobs
+        old = io_reference.Instance(jobs, machines, grid, meta)
+        assert validate_instance(inst) == io_reference.validate_instance(old)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        times=st.lists(st.integers(-2, 4), max_size=5),
+        energies=st.lists(st.integers(-2, 4), max_size=5),
+        n_speeds=st.integers(0, 5),
+    )
+    def test_speed_vector_faults(self, times, energies, n_speeds):
+        times, energies = tuple(times), tuple(energies)
+        assert _speed_vector_faults(times, energies, n_speeds) == (
+            io_reference._speed_vector_faults(times, energies, n_speeds)
+        )
+
+    @settings(max_examples=500, deadline=None)
+    @given(n_speeds=st.integers(0, 4), data=st.data())
+    def test_bulk_vector_check(self, n_speeds, data):
+        # most vectors have the grid's length, so that the later checks run
+        values = st.lists(st.integers(-1, 4), min_size=n_speeds, max_size=n_speeds) | st.lists(
+            st.integers(-1, 4), max_size=4
+        )
+        vector = st.tuples(values.map(tuple), values.map(tuple))
+        vectors = tuple(data.draw(st.lists(vector, max_size=4)))
+        assert _vectors_valid(vectors, n_speeds) == (
+            not any(_speed_vector_faults(t, e, n_speeds) for t, e in vectors)
+        )
 
 
 class TestValidateSchedule:

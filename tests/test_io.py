@@ -25,6 +25,8 @@ from ejsp.model import DistSpec, InstanceParams
 from ejsp.speed import energy_percentage, time_fraction
 from ejsp.variants import paper_variants, project_speeds, relax_dates
 
+import io_reference
+
 # speed counts whose grid multipliers are exact in 6 decimal digits, so they
 # survive the %.6f text form bit-for-bit (dyadic spacing with <= 6 digits)
 DYADIC_SPEEDS = [1, 2, 3, 5, 6, 9, 11, 17, 21, 33, 41]
@@ -85,6 +87,28 @@ class TestRoundTrip:
         assert read_instance(write_instance(relaxed)) == relaxed
         combo = relax_dates(project_speeds(original, (1, 2)))
         assert read_instance(write_instance(combo)) == combo
+
+    def test_lenient_speed_tokens_share_the_canonical_vector(self):
+        inst = build()
+        lines = write_instance(inst).decode().splitlines()
+        # the second task gets the first one's speed vector, once written
+        # with a leading zero and a plus sign, which int() accepts
+        first = lines[12].split(" ")
+        second = lines[13].split(" ")[:6] + ["0" + first[6], "+" + first[7]] + first[8:]
+        lines[13] = " ".join(second)
+        read = read_instance("\n".join(lines) + "\n")
+        assert read.vector_id[:2] == (0, 0)
+        assert len(set(read.vectors)) == len(read.vectors)
+        assert read.jobs[0][1].times == inst.jobs[0][0].times
+
+    def test_lenient_labels_read_as_integers(self):
+        inst = build()
+        lines = write_instance(inst).decode().splitlines()
+        # job and position labels in a form int() accepts, as in any other
+        # integer field
+        fields = lines[13].split(" ")
+        lines[13] = " ".join(["+" + fields[0], "0" + fields[1], *fields[2:]])
+        assert read_instance("\n".join(lines) + "\n") == inst
 
     def test_accepts_str_input(self):
         inst = build()
@@ -181,6 +205,21 @@ class TestParseErrors:
             read_instance("\n".join(lines) + "\n")
         assert str(err.value) == f"line {row + 1}: {message}"
 
+    def test_non_ascii_digits_in_str_input(self):
+        lines = write_instance(build()).decode().splitlines()
+        parts = lines[12].split(" ")
+        assert parts[3] == "61"  # the first task's base time
+        parts[3] = "\u0666\u0661"  # the same number in Arabic-Indic digits
+        lines[12] = " ".join(parts)
+        text = "\n".join(lines) + "\n"
+        assert int(parts[3]) == 61  # which int() alone would accept
+        with pytest.raises(ParseError) as err:
+            read_instance(text)
+        assert str(err.value) == "line 13: non-ASCII byte 0xd9"
+        with pytest.raises(ParseError) as as_bytes:
+            read_instance(text.encode("utf-8"))
+        assert str(as_bytes.value) == str(err.value)
+
     def test_monotonicity_breach_is_validation_error(self):
         inst = build(speeds=2)
         lines = write_instance(inst).decode().splitlines()
@@ -191,6 +230,75 @@ class TestParseErrors:
         with pytest.raises(ValidationError) as err:
             read_instance("\n".join(lines) + "\n")
         assert any("speed monotonicity" in v for v in err.value.violations)
+
+
+def _reading(read, data: bytes):
+    """What a reader makes of `data`: the parsed content or the failure."""
+    try:
+        inst = read(data)
+    except ParseError as exc:
+        return ("parse error", exc.line, str(exc))
+    except ValidationError as exc:
+        return ("invalid", exc.violations)
+    return ("read", inst.jobs, inst.machines, inst.speed_multipliers, inst.metadata)
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid file of any date mode and variant with one to three edits:
+    a byte flipped, inserted or deleted, a token replaced by a small
+    integer, or a line duplicated or dropped."""
+    machines = draw(st.integers(1, 3))
+    inst = build(
+        speeds=draw(st.integers(1, 5)),
+        rrdd=draw(st.sampled_from(["none", "loose", "tight"])),
+        kind=draw(st.sampled_from(["uniform", "exponential", "gaussian"])),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        jobs=draw(st.integers(1, 3)),
+        machines=machines,
+    )
+    if draw(st.booleans()):
+        inst = relax_dates(inst)
+    subset = draw(st.sets(st.integers(0, inst.n_speeds - 1)))
+    if subset:
+        inst = project_speeds(inst, sorted(subset))
+    data = bytearray(write_instance(inst))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "insert", "delete", "token", "token", "dup", "drop"]))
+        # most edits land in the task block, after the 12 header lines
+        in_tasks = draw(st.integers(0, 3)) > 0
+        if kind in ("flip", "insert", "delete"):
+            head = len(b"".join(bytes(data).split(b"\n", 12)[:12])) + 12 if in_tasks else 0
+            at = draw(st.integers(min(head, len(data) - 1), len(data) - (kind != "insert")))
+            # half the new bytes are digits, which keep a number a number
+            byte = draw(st.integers(0, 255) | st.integers(ord("0"), ord("9")))
+            if kind == "flip":
+                data[at] = byte if byte != data[at] else byte ^ 0x80
+            elif kind == "insert":
+                data.insert(at, byte)
+            else:
+                del data[at]
+            continue
+        lines = bytes(data).split(b"\n")
+        k = draw(st.integers(min(12 if in_tasks else 0, len(lines) - 1), len(lines) - 1))
+        if kind == "token":
+            tokens = lines[k].split(b" ")
+            t = draw(st.integers(0, len(tokens) - 1))
+            tokens[t] = str(draw(st.integers(-2, 120))).encode()
+            lines[k] = b" ".join(tokens)
+        elif kind == "dup":
+            lines.insert(k, lines[k])
+        else:
+            del lines[k]
+        data = bytearray(b"\n".join(lines))
+    return bytes(data)
+
+
+class TestAgainstReferenceReader:
+    @settings(max_examples=400, deadline=None)
+    @given(data=mutated_files())
+    def test_same_verdict_on_mutated_files(self, data):
+        assert _reading(read_instance, data) == _reading(io_reference.read_instance, data)
 
 
 class TestSuiteIO:

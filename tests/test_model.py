@@ -1,4 +1,5 @@
-"""Domain types: parameter validation, variant tags, distribution specs."""
+"""Domain types: parameter validation, variant tags, distribution specs,
+the columnar instance."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from ejsp.model import (
     DIST_KINDS,
     MAX_SEED,
     DistSpec,
+    Instance,
     InstanceParams,
     SpeedGrid,
     TaskSpec,
@@ -155,3 +157,42 @@ class TestTaskSpec:
         assert (task.job, task.position, task.due) == (1, 2, None)
         assert task == fields  # a tuple of its fields, compared as one
         assert task._replace(release=0) == (1, 2, 0, 7, (9, 5), (4, 6), 0, None)
+
+
+class TestColumnarInstance:
+    def test_from_jobs_builds_canonical_columns(self):
+        a, b = ((9, 5), (4, 6)), ((7, 3), (5, 8))
+        jobs = (
+            (TaskSpec(0, 0, 1, 9, *b, 2, 40), TaskSpec(0, 1, 0, 7, *a, 2, 40)),
+            (TaskSpec(1, 0, 0, 9, *b, 0, None), TaskSpec(1, 1, 1, 9, *b, 0, None)),
+        )
+        inst = Instance.from_jobs(jobs, 2, SpeedGrid((1.0, 2.0)), make_metadata())
+        assert inst.route_lengths == (2, 2)
+        assert inst.machine == (1, 0, 0, 1)
+        assert inst.base_time == (9, 7, 9, 9)
+        assert inst.release == (2, 2, 0, 0)
+        assert inst.due == (40, 40, None, None)
+        # distinct vectors once each, in row order of first use
+        assert inst.vectors == (b, a)
+        assert inst.vector_id == (0, 1, 0, 0)
+        assert inst.jobs == jobs
+        assert list(inst.iter_tasks()) == [task for route in jobs for task in route]
+
+    def test_every_path_gives_equal_instances(self):
+        made = generate_instance(params(count=1, jobs=4, speeds=5), 0)
+        for inst in (made, relax_dates(made), project_speeds(made, (0, 2))):
+            rebuilt = Instance.from_jobs(
+                inst.jobs, inst.machines, inst.speed_multipliers, inst.metadata
+            )
+            assert rebuilt == inst
+            assert read_instance(write_instance(rebuilt)) == inst
+
+    def test_task_view_built_once(self):
+        inst = generate_instance(params(count=1), 0)
+        assert inst.jobs is inst.jobs
+
+    @pytest.mark.parametrize("labels", [(1, 0), (0, 1)])
+    def test_from_jobs_rejects_mislabelled_task(self, labels):
+        task = TaskSpec(*labels, 0, 3, (3,), (5,), 0, None)
+        with pytest.raises(ValueError, match="sits at job 0 position 0"):
+            Instance.from_jobs(((task,),), 1, SpeedGrid((1.0,)), make_metadata())

@@ -67,6 +67,13 @@ class TestDispatch:
         sched = dispatch(inst, SolverConfig())
         assert sched.start(0, 0) >= 10
 
+    def test_edd_puts_unbounded_dues_last(self):
+        # job 0 has no due date, job 1 a late one: job 1 goes first anyway
+        inst = make_instance([[(0, 2, 1, 0, None)], [(0, 2, 1, 0, 90)]])
+        sched = dispatch(inst, SolverConfig(rule="edd"))
+        assert sched == reference.dispatch(inst, SolverConfig(rule="edd"))
+        assert (sched.start(1, 0), sched.start(0, 0)) == (0, 2)
+
     def test_rejects_bad_config(self):
         inst = build()
         with pytest.raises(ValueError):

@@ -14,6 +14,8 @@ from ejsp.variants import (
     relax_dates,
 )
 
+from conftest import make_instance
+
 
 def build(speeds=5, rrdd="tight", seed=11):
     p = InstanceParams(
@@ -126,6 +128,35 @@ class TestProjectSpeeds:
         b = project_speeds(relax_dates(original), (1, 3))
         assert a == b
         assert a.metadata.variant_tag == "relaxed+s2-4"
+
+    def test_shares_task_columns(self):
+        original = build()
+        projected = project_speeds(original, (0, 2, 4))
+        for column in ("machine", "base_time", "release", "due", "vector_id"):
+            assert getattr(projected, column) is getattr(original, column)
+
+    def test_vectors_equal_after_projection_are_merged(self):
+        # three vectors that differ only in the dropped second speed
+        energies = (1, 2, 3)
+        inst = make_instance(
+            [
+                [(0, (9, 7, 5), energies), (1, (9, 8, 5), energies)],
+                [(1, (9, 6, 5), energies), (0, (9, 7, 5), energies)],
+            ],
+            multipliers=(1.0, 2.0, 3.0),
+        )
+        assert inst.vector_id == (0, 1, 2, 0)
+        projected = project_speeds(inst, (0, 2))
+        assert projected.vectors == (((9, 5), (1, 3)),)
+        assert projected.vector_id == (0, 0, 0, 0)
+        assert projected == make_instance(
+            [
+                [(0, (9, 5), (1, 3)), (1, (9, 5), (1, 3))],
+                [(1, (9, 5), (1, 3)), (0, (9, 5), (1, 3))],
+            ],
+            multipliers=(1.0, 3.0),
+            speed_subset=(0, 2),
+        )
 
     def test_projection_keeps_monotonicity(self):
         projected = project_speeds(build(), (0, 3))
